@@ -2,11 +2,11 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 
 #include "obs/report.h"
 #include "util/bitvector_kernels.h"
+#include "util/flags.h"
 #include "util/thread_pool.h"
 
 namespace bbsmine::bench {
@@ -135,9 +135,11 @@ void AppendSchemeCells(const SchemeResult& r, std::vector<std::string>* row) {
 }
 
 bool QuickMode(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) return true;
-  }
+  bool quick = false;
+  FlagSet flags(argv[0]);
+  flags.Bool("quick", &quick, "reduced workloads (or BBSMINE_BENCH_QUICK=1)");
+  flags.ParseOrExit(argc, argv, 1);
+  if (quick) return true;
   const char* env = std::getenv("BBSMINE_BENCH_QUICK");
   return env != nullptr && env[0] == '1';
 }

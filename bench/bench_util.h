@@ -86,7 +86,9 @@ void AppendSchemeCells(const SchemeResult& r, std::vector<std::string>* row);
 void AppendSchemeHeaders(const std::string& prefix,
                          std::vector<std::string>* header);
 
-/// True when the binary was invoked with --quick (reduced workloads).
+/// Parses the figure binaries' only flag, --quick (reduced workloads);
+/// true with it or with BBSMINE_BENCH_QUICK=1. Any other argument, and
+/// --help, exits as util/flags.h describes.
 bool QuickMode(int argc, char** argv);
 
 }  // namespace bbsmine::bench

@@ -18,8 +18,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -35,6 +33,7 @@
 #include "service/slow_log.h"
 #include "service/snapshot.h"
 #include "service/wire.h"
+#include "util/flags.h"
 
 using namespace bbsmine;
 
@@ -140,14 +139,9 @@ std::vector<obs::JsonValue> BuildRequests() {
 
 int main(int argc, char** argv) {
   double limit_pct = 2.0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--limit-pct") == 0 && i + 1 < argc) {
-      limit_pct = std::atof(argv[++i]);
-    } else {
-      std::fprintf(stderr, "usage: micro_service [--limit-pct P]\n");
-      return 2;
-    }
-  }
+  FlagSet flags("micro_service", "observability-plane overhead gate");
+  flags.Double("limit-pct", &limit_pct, "fail at this overhead, percent");
+  flags.ParseOrExit(argc, argv, 1);
 
   QuestConfig quest;  // default T10.I10.D10K
   TransactionDatabase db = std::move(GenerateQuest(quest)).value();

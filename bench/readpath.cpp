@@ -22,13 +22,10 @@
 //   exceeds_budget — slice bytes > --budget-bytes while the mmap backend
 //                pins ~0 heap bytes for them
 //
-// Usage: readpath [--txns N] [--items N] [--bits M] [--hashes K]
-//                 [--queries N] [--budget-bytes B] [--out FILE]
-//                 [--work FILE] [--quick]
+// `readpath --help` lists the flags.
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <random>
 #include <string>
 #include <vector>
@@ -37,6 +34,7 @@
 #include "datagen/quest_gen.h"
 #include "obs/json.h"
 #include "storage/transaction_db.h"
+#include "util/flags.h"
 #include "util/rusage.h"
 #include "util/status.h"
 #include "util/stopwatch.h"
@@ -48,36 +46,6 @@ namespace {
 [[noreturn]] void Die(const Status& status) {
   std::fprintf(stderr, "readpath: %s\n", status.ToString().c_str());
   std::exit(1);
-}
-
-uint64_t FlagUint(int argc, char** argv, const char* name, uint64_t fallback) {
-  const std::string prefix = std::string(name) + "=";
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == name && i + 1 < argc) return std::strtoull(argv[i + 1], nullptr, 10);
-    if (arg.rfind(prefix, 0) == 0) {
-      return std::strtoull(arg.substr(prefix.size()).c_str(), nullptr, 10);
-    }
-  }
-  return fallback;
-}
-
-std::string FlagString(int argc, char** argv, const char* name,
-                       const std::string& fallback) {
-  const std::string prefix = std::string(name) + "=";
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == name && i + 1 < argc) return argv[i + 1];
-    if (arg.rfind(prefix, 0) == 0) return arg.substr(prefix.size());
-  }
-  return fallback;
-}
-
-bool FlagBool(int argc, char** argv, const char* name) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return true;
-  }
-  return false;
 }
 
 /// One query pass: sums the estimates (the cross-leg checksum).
@@ -131,23 +99,34 @@ uint64_t ExactCount(const TransactionDatabase& db, const Itemset& query) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool quick = FlagBool(argc, argv, "--quick");
-  const uint32_t txns = static_cast<uint32_t>(
-      FlagUint(argc, argv, "--txns", quick ? 6'000 : 20'000));
-  const uint32_t items =
-      static_cast<uint32_t>(FlagUint(argc, argv, "--items", 400));
-  const uint32_t bits = static_cast<uint32_t>(
-      FlagUint(argc, argv, "--bits", quick ? 2'048 : 4'096));
-  const uint32_t hashes =
-      static_cast<uint32_t>(FlagUint(argc, argv, "--hashes", 4));
-  const uint64_t num_queries =
-      FlagUint(argc, argv, "--queries", quick ? 64 : 200);
-  const uint64_t budget_bytes =
-      FlagUint(argc, argv, "--budget-bytes", 4ull << 20);
-  const std::string out_path =
-      FlagString(argc, argv, "--out", "BENCH_readpath.json");
-  const std::string work_path =
-      FlagString(argc, argv, "--work", "/tmp/bbsmine_readpath.bbs");
+  bool quick = false;
+  uint32_t txns = 20'000;
+  uint32_t items = 400;
+  uint32_t bits = 4'096;
+  uint32_t hashes = 4;
+  uint64_t num_queries = 200;
+  uint64_t budget_bytes = 4ull << 20;
+  std::string out_path = "BENCH_readpath.json";
+  std::string work_path = "/tmp/bbsmine_readpath.bbs";
+  FlagSet flags("readpath",
+                "read-path benchmark: resident vs mmap vs folded serving");
+  flags.Bool("quick", &quick,
+             "CI size: 6000 txns, 2048 bits, 64 queries unless given");
+  flags.Unsigned("txns", &txns, "transactions");
+  flags.Unsigned("items", &items, "item universe", 1);
+  flags.Unsigned("bits", &bits, "signature width m");
+  flags.Unsigned("hashes", &hashes, "hashes per item k");
+  flags.Unsigned("queries", &num_queries, "queries per leg");
+  flags.Unsigned("budget-bytes", &budget_bytes,
+                 "resident-memory budget the slice data is compared with");
+  flags.String("out", &out_path, "report path");
+  flags.String("work", &work_path, "scratch path of the index file");
+  flags.ParseOrExit(argc, argv, 1);
+  if (quick) {
+    if (!flags.WasSet("txns")) txns = 6'000;
+    if (!flags.WasSet("bits")) bits = 2'048;
+    if (!flags.WasSet("queries")) num_queries = 64;
+  }
 
   // Workload: a Quest dataset and the v2 aligned index file on disk.
   QuestConfig gen;

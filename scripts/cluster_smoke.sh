@@ -273,7 +273,7 @@ shards = c['shards']
 assert len(shards) == 3
 assert shards[1]['up'] is False and shards[1]['errors'] > 0, shards[1]
 for s in shards:
-    for key in ('endpoint', 'requests', 'pruned_queries', 'hedged', 'latency_us'):
+    for key in ('endpoint', 'requests', 'pruned_queries', 'latency_us'):
         assert key in s, f'shard row missing {key}'
 assert c['degraded_responses'] > 0, c
 assert 'fanout_us' in c, 'cluster fan-out histogram missing'

@@ -253,7 +253,7 @@ uint64_t RouterService::failovers() const {
   return metrics_.counter(metrics_.failovers);
 }
 
-ShardEndpoint RouterService::active_endpoint(size_t idx) const {
+Endpoint RouterService::active_endpoint(size_t idx) const {
   return ActiveEndpoint(*shards_[idx]);
 }
 
@@ -344,7 +344,6 @@ RouterService::ShardReply RouterService::CallShard(
   ShardReply reply;
   uint64_t jitter_state = options_.retry.jitter_seed + idx;
   uint32_t backoff_attempts = 0;
-  bool hedged = false;
   bool failover_retried = false;
   Status failure = Status::Unavailable("fan-out deadline exhausted");
   while (true) {
@@ -369,19 +368,12 @@ RouterService::ShardReply RouterService::CallShard(
         shard.idle.pop_back();
         return pooled;
       }
-      const ShardEndpoint endpoint = ActiveEndpoint(shard);
+      const Endpoint endpoint = ActiveEndpoint(shard);
       return service::ClientSession(endpoint.host, endpoint.port);
     }();
 
-    // Hedge arming: the first idempotent attempt waits only hedge_ms; if
-    // that fires, the straggler's socket is abandoned and the request is
-    // re-issued once on a fresh connection with the remaining budget.
-    const bool hedge_armed = idempotent && !hedged && options_.hedge_ms > 0 &&
-                             options_.hedge_ms < remaining_ms;
-    const int timeout_ms =
-        hedge_armed ? options_.hedge_ms : static_cast<int>(remaining_ms);
-
-    Result<JsonValue> response = session.Call(request, timeout_ms);
+    Result<JsonValue> response =
+        session.Call(request, static_cast<int>(remaining_ms));
     if (response.ok()) {
       const bool backpressured = IsBackpressure(*response);
       {
@@ -426,12 +418,6 @@ RouterService::ShardReply RouterService::CallShard(
       // fails this leg: no down-marking, no failover. The background
       // prober owns that call, and only after failover_probe_failures
       // consecutive silent probes.
-      if (hedge_armed) {
-        hedged = true;
-        shard.hedged.fetch_add(1, std::memory_order_relaxed);
-        metrics_.Inc(metrics_.hedged_requests);
-        continue;
-      }
       failure = idempotent
                     ? status
                     : Status::Indeterminate(
@@ -571,7 +557,7 @@ bool RouterService::TryFailover(size_t idx) {
 
   // Probe the replica on a fresh connection (the pool belongs to the dead
   // primary).
-  const ShardEndpoint replica = shard.entry.replica;
+  const Endpoint replica = shard.entry.replica;
   Result<service::ClientSession> session =
       service::ClientSession::Connect(replica.host, replica.port);
   if (!session.ok()) return false;
@@ -681,7 +667,7 @@ void RouterService::ProbeLoop() {
 
 bool RouterService::ProbeShard(size_t idx) {
   ShardState& shard = *shards_[idx];
-  const ShardEndpoint endpoint = ActiveEndpoint(shard);
+  const Endpoint endpoint = ActiveEndpoint(shard);
   JsonValue request = JsonValue::Object();
   request.Set("verb", JsonValue::String("SHARDINFO"));
   service::ClientSession session(endpoint.host, endpoint.port);
@@ -1278,8 +1264,6 @@ obs::JsonValue RouterService::BuildStatsReport() const {
               JsonValue::Uint(shard.errors.load(std::memory_order_relaxed)));
     entry.Set("pruned_queries",
               JsonValue::Uint(shard.pruned.load(std::memory_order_relaxed)));
-    entry.Set("hedged",
-              JsonValue::Uint(shard.hedged.load(std::memory_order_relaxed)));
     std::vector<uint64_t> buckets(shard.latency.size());
     for (size_t b = 0; b < shard.latency.size(); ++b) {
       buckets[b] = shard.latency[b].load(std::memory_order_relaxed);

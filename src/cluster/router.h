@@ -26,13 +26,10 @@
 //   DUMP   — InvalidArgument (per-connection flight recording is a
 //            daemon-local concern).
 //
-// Robustness: every fan-out leg runs under a per-leg deadline; idempotent
-// legs may hedge (re-issue on a fresh connection after hedge_ms of
-// silence — the straggler's socket is abandoned, the at-most-once rules
-// from service/client.h still hold because only idempotent verbs hedge).
-// When shards stay unreachable the router answers anyway from the
-// survivors, with "degraded": true and the missing shard list, unless
-// configured to require the full fleet.
+// Robustness: every fan-out leg runs under a per-leg deadline. When
+// shards stay unreachable the router answers anyway from the survivors,
+// with "degraded": true and the missing shard list, unless configured to
+// require the full fleet.
 //
 // Failover: a shard spec may name a warm replica ("host:port/host:port",
 // a bbsmined following the primary over WALSTREAM). When the primary
@@ -95,11 +92,8 @@ struct RouterOptions {
   /// Per-leg retry/backoff policy (backpressure retries, timeout policy);
   /// timeout_ms inside is ignored — the fan-out deadline governs.
   service::RetryOptions retry;
-  /// Total budget per downstream leg, hedge included.
+  /// Total budget per downstream leg.
   int fanout_deadline_ms = 5000;
-  /// After this many ms of silence an idempotent leg is re-issued on a
-  /// fresh connection (0 = no hedging).
-  int hedge_ms = 0;
   /// Bloofi pruning (off = every COUNT fans out everywhere; answers are
   /// identical either way — that equivalence is pinned by tests).
   bool prune = true;
@@ -186,7 +180,7 @@ class RouterService : public service::RequestHandler {
   uint64_t failovers() const;
   /// The endpoint shard `idx` currently routes to (primary, or the
   /// replica after a failover).
-  ShardEndpoint active_endpoint(size_t idx) const;
+  Endpoint active_endpoint(size_t idx) const;
   /// Cluster-wide transaction total (cached from the latest responses).
   uint64_t TotalTransactions() const;
   const BbsConfig& shard_config() const { return config_; }
@@ -230,7 +224,6 @@ class RouterService : public service::RequestHandler {
     std::atomic<uint64_t> requests{0};
     std::atomic<uint64_t> errors{0};
     std::atomic<uint64_t> pruned{0};
-    std::atomic<uint64_t> hedged{0};
     /// Bumped (under tree_mu_) every time an INSERT ORs new positions
     /// into this shard's Bloofi leaf. RefreshShard samples it before
     /// fetching SHARDINFO: if it moved by apply time, an acked INSERT
@@ -321,7 +314,7 @@ class RouterService : public service::RequestHandler {
 
   /// The endpoint shard routing currently targets (primary, or the
   /// replica once failed over).
-  ShardEndpoint ActiveEndpoint(const ShardState& shard) const {
+  Endpoint ActiveEndpoint(const ShardState& shard) const {
     return shard.on_replica.load(std::memory_order_acquire)
                ? shard.entry.replica
                : shard.entry.primary;

@@ -16,44 +16,18 @@ std::string Trim(const std::string& s) {
 
 }  // namespace
 
-Result<ShardEndpoint> ParseEndpoint(const std::string& spec) {
-  size_t colon = spec.rfind(':');
-  if (colon == std::string::npos || colon == 0 || colon + 1 == spec.size()) {
-    return Status::InvalidArgument("shard endpoint must be host:port, got \"" +
-                                   spec + "\"");
-  }
-  ShardEndpoint endpoint;
-  endpoint.host = spec.substr(0, colon);
-  const std::string port_text = spec.substr(colon + 1);
-  uint64_t port = 0;
-  for (char c : port_text) {
-    if (c < '0' || c > '9') {
-      return Status::InvalidArgument("shard port must be numeric, got \"" +
-                                     port_text + "\"");
-    }
-    port = port * 10 + static_cast<uint64_t>(c - '0');
-    if (port > 65535) break;
-  }
-  if (port == 0 || port > 65535) {
-    return Status::InvalidArgument("shard port out of range: \"" + port_text +
-                                   "\"");
-  }
-  endpoint.port = static_cast<uint16_t>(port);
-  return endpoint;
-}
-
 Result<ShardEntry> ParseShardEntry(const std::string& spec) {
   ShardEntry entry;
   size_t slash = spec.find('/');
   if (slash == std::string::npos) {
-    Result<ShardEndpoint> primary = ParseEndpoint(spec);
+    Result<Endpoint> primary = ParseEndpoint(spec);
     if (!primary.ok()) return primary.status();
     entry.primary = std::move(*primary);
     return entry;
   }
-  Result<ShardEndpoint> primary = ParseEndpoint(Trim(spec.substr(0, slash)));
+  Result<Endpoint> primary = ParseEndpoint(Trim(spec.substr(0, slash)));
   if (!primary.ok()) return primary.status();
-  Result<ShardEndpoint> replica = ParseEndpoint(Trim(spec.substr(slash + 1)));
+  Result<Endpoint> replica = ParseEndpoint(Trim(spec.substr(slash + 1)));
   if (!replica.ok()) return replica.status();
   entry.primary = std::move(*primary);
   entry.has_replica = true;

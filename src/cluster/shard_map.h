@@ -24,24 +24,16 @@
 #include <string>
 #include <vector>
 
+#include "util/socket.h"
 #include "util/status.h"
 
 namespace bbsmine::cluster {
 
-struct ShardEndpoint {
-  std::string host;
-  uint16_t port = 0;
-
-  std::string ToString() const {
-    return host + ":" + std::to_string(port);
-  }
-};
-
 /// One shard: its primary endpoint plus an optional warm replica.
 struct ShardEntry {
-  ShardEndpoint primary;
+  Endpoint primary;
   bool has_replica = false;
-  ShardEndpoint replica;
+  Endpoint replica;
 
   /// Renders the spec form: "host:port" or "host:port/host:port".
   std::string ToString() const {
@@ -56,9 +48,6 @@ struct ShardMap {
   size_t size() const { return shards.size(); }
   bool empty() const { return shards.empty(); }
 };
-
-/// Parses one "host:port" endpoint.
-Result<ShardEndpoint> ParseEndpoint(const std::string& spec);
 
 /// Parses one "host:port[/host:port]" shard entry.
 Result<ShardEntry> ParseShardEntry(const std::string& spec);

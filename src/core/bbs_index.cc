@@ -19,9 +19,9 @@ using Word = BitVector::Word;
 
 namespace {
 
-// v1: packed layout, one CRC over the whole payload. Read-only legacy path.
+// v1: the retired packed layout. Only its magic is kept, so loading an old
+// file says "rebuild" instead of "corrupt".
 constexpr char kMagicV1[8] = {'B', 'B', 'S', 'I', 'D', 'X', '0', '1'};
-constexpr uint32_t kFormatVersionV1 = 1;
 
 // v2: aligned layout (docs/FORMATS.md). Checksummed metadata block, then
 // each slice's word array at a 64-byte-aligned file offset so the file can
@@ -36,6 +36,18 @@ constexpr uint64_t kSliceAlignment = 64;
 /// variable-length arrays (see the offsets table in docs/FORMATS.md).
 constexpr uint64_t kV2FixedMetaBytes = 72;
 constexpr uint64_t kV2ArraysOffset = 16 + kV2FixedMetaBytes;
+
+/// The error for a file that is not v2: InvalidArgument asking for a
+/// rebuild when it is a v1 index, else Corruption.
+Status NotV2Error(std::string_view file, const std::string& path) {
+  if (file.size() >= sizeof(kMagicV1) &&
+      std::memcmp(file.data(), kMagicV1, sizeof(kMagicV1)) == 0) {
+    return Status::InvalidArgument(
+        path + " is a v1 (BBSIDX01) index, which is no longer read; "
+               "rebuild the index with `bbsmine build`");
+  }
+  return Status::Corruption("bad magic in " + path);
+}
 
 constexpr uint64_t RoundUpToAlignment(uint64_t v) {
   return (v + kSliceAlignment - 1) / kSliceAlignment * kSliceAlignment;
@@ -657,85 +669,7 @@ Result<BbsIndex> BbsIndex::Deserialize(std::string_view file,
     return index;
   }
 
-  if (std::memcmp(file.data(), kMagicV1, sizeof(kMagicV1)) != 0) {
-    return Status::Corruption("bad magic in " + path);
-  }
-
-  // --- legacy v1 packed layout (read-only back-compat) -------------------
-  if (file.size() < sizeof(kMagicV1) + 8) {
-    return Status::Corruption("bad magic in " + path);
-  }
-  size_t pos = sizeof(kMagicV1);
-  uint32_t version = 0;
-  uint32_t expected_crc = 0;
-  if (!ReadU32(file, &pos, &version) || !ReadU32(file, &pos, &expected_crc)) {
-    return Status::Corruption("truncated header in " + path);
-  }
-  if (version != kFormatVersionV1) {
-    return Status::Corruption("unsupported format version " +
-                              std::to_string(version));
-  }
-  if (Crc32(std::string_view(file.data() + pos, file.size() - pos)) !=
-      expected_crc) {
-    return Status::Corruption("checksum mismatch in " + path);
-  }
-
-  BbsConfig config;
-  uint32_t hash_kind = 0;
-  uint32_t track = 0;
-  uint32_t folded = 0;
-  uint64_t num_transactions = 0;
-  uint64_t num_item_counts = 0;
-  if (!ReadU32(file, &pos, &config.num_bits) ||
-      !ReadU32(file, &pos, &config.num_hashes) ||
-      !ReadU32(file, &pos, &hash_kind) || !ReadU64(file, &pos, &config.seed) ||
-      !ReadU32(file, &pos, &track) || !ReadU32(file, &pos, &folded) ||
-      !ReadU64(file, &pos, &num_transactions) ||
-      !ReadU64(file, &pos, &num_item_counts)) {
-    return Status::Corruption("truncated payload in " + path);
-  }
-  if (hash_kind > static_cast<uint32_t>(HashKind::kModulo)) {
-    return Status::Corruption("unknown hash kind");
-  }
-  config.hash_kind = static_cast<HashKind>(hash_kind);
-  config.track_item_counts = track != 0;
-
-  Result<BloomHashFamily> family = BloomHashFamily::Create(
-      config.num_bits, config.num_hashes, config.hash_kind, config.seed);
-  if (!family.ok()) return family.status();
-  if (folded > config.num_bits) {
-    return Status::Corruption("fold target exceeds num_bits");
-  }
-
-  BbsIndex index(config, std::move(family).value(), folded);
-  index.num_transactions_ = num_transactions;
-  index.item_counts_.resize(num_item_counts);
-  for (uint64_t& count : index.item_counts_) {
-    if (!ReadU64(file, &pos, &count)) {
-      return Status::Corruption("truncated item counts in " + path);
-    }
-  }
-  size_t words_per_slice =
-      (num_transactions + BitVector::kWordBits - 1) / BitVector::kWordBits;
-  std::vector<BitVector::Word> slice_words(words_per_slice);
-  ResidentSliceSource* res = index.source_->AsResident();
-  for (uint32_t slice_idx = 0; slice_idx < index.num_bits(); ++slice_idx) {
-    for (size_t w = 0; w < words_per_slice; ++w) {
-      if (!ReadU64(file, &pos, &slice_words[w])) {
-        return Status::Corruption("truncated slice data in " + path);
-      }
-    }
-    // Bulk word-level assign: O(words) per slice instead of O(bits).
-    BitVector& slice = res->slice(slice_idx);
-    slice.AssignWords(slice_words.data(), slice_words.size(),
-                      num_transactions);
-    index.slice_popcount_[slice_idx] = slice.Count();
-  }
-  if (pos != file.size()) {
-    return Status::Corruption("trailing bytes in " + path);
-  }
-  index.RecomputeSignatureBits();
-  return index;
+  return NotV2Error(file, path);
 }
 
 Result<BbsIndex> BbsIndex::OpenMmap(const std::string& path) {
@@ -746,14 +680,7 @@ Result<BbsIndex> BbsIndex::OpenMmap(const std::string& path) {
 
   if (file.size() < sizeof(kMagicV2) ||
       std::memcmp(file.data(), kMagicV2, sizeof(kMagicV2)) != 0) {
-    if (file.size() >= sizeof(kMagicV1) &&
-        std::memcmp(file.data(), kMagicV1, sizeof(kMagicV1)) == 0) {
-      return Status::InvalidArgument(
-          path + " uses the v1 packed layout, which cannot be served in "
-                 "place; rebuild the index (v2 aligns slices for mmap) or "
-                 "use --index-backend=resident");
-    }
-    return Status::Corruption("bad magic in " + path);
+    return NotV2Error(file, path);
   }
 
   // Validates magic/version/header CRC and every structural bound — in

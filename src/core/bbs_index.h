@@ -188,9 +188,9 @@ class BbsIndex {
   /// checkpoints) can checksum and write segment images themselves.
   std::string Serialize() const;
 
-  /// Parses bytes produced by Serialize — the v2 aligned layout or the
-  /// legacy v1 packed layout — into a resident index. `context` names the
-  /// source (file path) in error messages.
+  /// Parses bytes produced by Serialize (the v2 aligned layout) into a
+  /// resident index. `context` names the source (file path) in error
+  /// messages. A retired v1 file is InvalidArgument asking for a rebuild.
   static Result<BbsIndex> Deserialize(std::string_view file,
                                       const std::string& context);
 
@@ -204,8 +204,7 @@ class BbsIndex {
   /// validated and faulted in (magic, version, header checksum, structural
   /// bounds — including that the file covers every slice, so a truncated
   /// map fails cleanly instead of SIGBUSing); slice pages fault in on
-  /// demand. v1 files are rejected: the packed layout cannot be served
-  /// in place (rebuild or load resident).
+  /// demand. v1 files are rejected exactly as Deserialize rejects them.
   static Result<BbsIndex> OpenMmap(const std::string& path);
 
   /// Structural equality (config, transactions, slice contents); backend

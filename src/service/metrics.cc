@@ -50,7 +50,6 @@ ServiceMetrics::ServiceMetrics(const WindowOptions& windows)
   slow_queries = AddCounter("counters.slow_queries");
   traced_requests = AddCounter("counters.traced_requests");
   pruned_shard_queries = AddCounter("cluster.pruned_shard_queries");
-  hedged_requests = AddCounter("cluster.hedged_requests");
   degraded_responses = AddCounter("cluster.degraded_responses");
   shard_errors = AddCounter("cluster.shard_errors");
   failovers = AddCounter("cluster.failovers");
@@ -300,8 +299,6 @@ obs::JsonValue BuildServiceReport(const ServiceReportContext& ctx,
   cluster.Set("shards_up", JsonValue::Uint(ctx.shards_up));
   cluster.Set("pruned_shard_queries",
               JsonValue::Uint(metrics.counter(metrics.pruned_shard_queries)));
-  cluster.Set("hedged_requests",
-              JsonValue::Uint(metrics.counter(metrics.hedged_requests)));
   cluster.Set("degraded_responses",
               JsonValue::Uint(metrics.counter(metrics.degraded_responses)));
   cluster.Set("shard_errors",

@@ -102,8 +102,6 @@ class ServiceMetrics {
   // Cluster counters (section "cluster"; all zero on a standalone daemon —
   // only the router's fan-out path increments them).
   size_t pruned_shard_queries;   ///< shard fan-outs skipped by the Bloofi tree
-  size_t hedged_requests;        ///< fan-out legs re-issued after the hedge
-                                 ///< timeout fired
   size_t degraded_responses;     ///< answers served with shards missing
   size_t shard_errors;           ///< downstream legs that failed (transport,
                                  ///< timeout, or error response)

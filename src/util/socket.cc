@@ -11,6 +11,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "util/flags.h"
+
 namespace bbsmine {
 
 namespace {
@@ -26,6 +28,22 @@ Result<sockaddr_in> MakeAddr(const std::string& host, uint16_t port) {
 }
 
 }  // namespace
+
+Result<Endpoint> ParseEndpoint(const std::string& spec) {
+  const size_t colon = spec.rfind(':');
+  if (colon == std::string::npos || colon == 0) {
+    return Status::InvalidArgument("endpoint must be host:port, got \"" +
+                                   spec + "\"");
+  }
+  const std::string_view port_text = std::string_view(spec).substr(colon + 1);
+  uint64_t port = 0;
+  if (Status parsed = ParseUnsignedText(port_text, 1, 65535, &port);
+      !parsed.ok()) {
+    return Status::InvalidArgument("port of \"" + spec + "\": " +
+                                   parsed.message());
+  }
+  return Endpoint{spec.substr(0, colon), static_cast<uint16_t>(port)};
+}
 
 void OwnedFd::Reset() {
   if (fd_ >= 0) {

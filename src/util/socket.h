@@ -52,6 +52,19 @@ class OwnedFd {
   int fd_ = -1;
 };
 
+/// A TCP endpoint, written "host:port".
+struct Endpoint {
+  std::string host;
+  uint16_t port = 0;
+
+  std::string ToString() const { return host + ":" + std::to_string(port); }
+};
+
+/// Parses "host:port" strictly: a non-empty host, then a port of decimal
+/// digits only in [1, 65535] (so "h:80x", "h:0" and ":1" are rejected).
+/// The host is everything before the last ':'.
+Result<Endpoint> ParseEndpoint(const std::string& spec);
+
 /// Creates a listening TCP socket bound to `host:port` (IPv4 dotted quad;
 /// SO_REUSEADDR set). `port` 0 binds an ephemeral port; use BoundPort to
 /// learn the assignment.

@@ -255,6 +255,27 @@ TEST(BbsIndexTest, LoadRejectsCorruption) {
   std::remove(path.c_str());
 }
 
+TEST(BbsIndexTest, BothLoadersRejectV1WithRebuildHint) {
+  // A retired v1 (BBSIDX01) header: magic, version 1, a payload CRC.
+  const std::string path = TempPath("bbsmine_idx_v1.bin");
+  {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    const char header[16] = {'B', 'B', 'S', 'I', 'D', 'X', '0', '1',
+                             1,   0,   0,   0,   0,   0,   0,   0};
+    ASSERT_EQ(std::fwrite(header, 1, sizeof(header), f), sizeof(header));
+    std::fclose(f);
+  }
+  for (const Result<BbsIndex>& loaded :
+       {BbsIndex::Load(path), BbsIndex::OpenMmap(path)}) {
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(loaded.status().message().find("rebuild"), std::string::npos)
+        << loaded.status().ToString();
+  }
+  std::remove(path.c_str());
+}
+
 TEST(BbsIndexTest, SerializedBytesAndMemoryUsage) {
   BbsIndex bbs = PaperExampleBbs();
   // 8 slices x ceil(5/8) = 8 bytes.

@@ -130,7 +130,7 @@ class Fleet {
     ShardMap map;
     for (const auto& shard : shards_) {
       ShardEntry entry;
-      entry.primary = ShardEndpoint{"127.0.0.1", shard->server->port()};
+      entry.primary = Endpoint{"127.0.0.1", shard->server->port()};
       map.shards.push_back(std::move(entry));
     }
     return map;
@@ -217,6 +217,18 @@ TEST(ShardMapTest, ParsesSpecAndRejectsGarbage) {
   EXPECT_FALSE(ParseShardSpec("nocolon").ok());
   EXPECT_FALSE(ParseShardSpec("host:0").ok());
   EXPECT_FALSE(ParseShardSpec("host:99999").ok());
+  // util's ParseEndpoint is the one host:port parser (shard maps,
+  // bbsmined --follow, bbsbench --target): digits only, 1..65535.
+  EXPECT_FALSE(ParseShardSpec("h:80x").ok());
+  EXPECT_FALSE(ParseShardSpec("h:0").ok());
+  EXPECT_FALSE(ParseShardSpec("h:65536").ok());
+  EXPECT_FALSE(ParseShardSpec(":1").ok());
+  EXPECT_FALSE(ParseShardSpec("h:+80").ok());
+  EXPECT_FALSE(ParseEndpoint("h:80x").ok());
+  auto max_port = ParseEndpoint("h:65535");
+  ASSERT_TRUE(max_port.ok());
+  EXPECT_EQ(max_port->port, 65535);
+  EXPECT_EQ(max_port->ToString(), "h:65535");
   // Empty entries are skipped, not errors — a trailing comma is harmless
   // and cannot shift shard indices.
   auto trailing = ParseShardSpec("host:7071,");
@@ -795,10 +807,10 @@ TEST(RouterInsertTest, RoutesToTailAndKeepsPruningTruthful) {
 }
 
 // ---------------------------------------------------------------------------
-// Slow shards: hedged reads and the fan-out deadline.
+// Slow shards and the fan-out deadline.
 
 /// A relay that answers every request through a real BbsService but stalls
-/// before responding — the downstream behavior hedging exists for. Each
+/// before responding, like a loaded or GC-pausing daemon. Each
 /// accepted connection is served by its own thread and kept alive across
 /// requests, so the router's pooled sessions behave as they would against
 /// a real (but slow) daemon.
@@ -861,7 +873,7 @@ class SlowRelay {
   std::atomic<bool> stop_{false};
 };
 
-TEST(RouterHedgeTest, SlowShardIsHedgedAndStillAnswers) {
+TEST(RouterSlowShardTest, SlowShardWithinDeadlineAnswersWhole) {
   TransactionDatabase full = bbsmine::testing::RandomDb(43, 80, 16, 5.0);
   Fleet fleet(full, 2);
   SlowRelay relay(fleet.shard(0).service.get(), /*delay_ms=*/250);
@@ -873,8 +885,9 @@ TEST(RouterHedgeTest, SlowShardIsHedgedAndStillAnswers) {
   ShardMap map = fleet.map();
   map.shards[0].primary.port = relay.port();  // shard 0 now answers slowly
 
+  // The slow leg answers well inside the deadline: the router waits for
+  // it rather than degrading, and the sum is the single-node answer.
   RouterOptions options = Fleet::FastOptions();
-  options.hedge_ms = 100;
   options.fanout_deadline_ms = 10'000;
   RouterService router(map, options);
   ASSERT_TRUE(router.Init().ok());
@@ -882,14 +895,15 @@ TEST(RouterHedgeTest, SlowShardIsHedgedAndStillAnswers) {
   JsonValue response = router.Handle(CountRequest({1}));
   ASSERT_TRUE(response.at("ok").AsBool()) << response.Serialize();
   EXPECT_FALSE(response.at("degraded").AsBool());
-  // The slow leg fired the hedge at least once but the answer is whole.
-  EXPECT_GT(router.metrics().counter(router.metrics().hedged_requests), 0u);
+  EXPECT_EQ(response.at("missing_shards").size(), 0u);
+  EXPECT_EQ(response.at("cluster").at("shards_queried").AsUint(), 2u)
+      << "the slow shard must be on the fan-out, not pruned";
   JsonValue oracle = fleet.oracle().Handle(CountRequest({1}));
   EXPECT_EQ(response.at("count").AsUint(), oracle.at("count").AsUint());
   relay.Stop();
 }
 
-TEST(RouterHedgeTest, DeadlineExhaustionDegradesInsteadOfHanging) {
+TEST(RouterSlowShardTest, DeadlineExhaustionDegradesInsteadOfHanging) {
   TransactionDatabase full = bbsmine::testing::RandomDb(47, 80, 16, 5.0);
   Fleet fleet(full, 2);
   SlowRelay relay(fleet.shard(0).service.get(), /*delay_ms=*/2000);
@@ -1270,7 +1284,7 @@ TEST(RouterFailoverTest, DeadPrimaryFailsOverToReplicaWithBitIdenticalAnswers) {
 
   ShardMap map = fleet.map();
   map.shards[1].has_replica = true;
-  map.shards[1].replica = ShardEndpoint{"127.0.0.1", replica->server->port()};
+  map.shards[1].replica = Endpoint{"127.0.0.1", replica->server->port()};
   RouterOptions options = Fleet::FastOptions();
   options.fanout_deadline_ms = 2'000;
   RouterService router(std::move(map), options);
@@ -1344,7 +1358,7 @@ TEST(RouterFailoverTest, ProberPromotesAndFencesWithoutClientTraffic) {
   ShardMap map = fleet.map();
   const uint16_t old_primary_port = fleet.shard(1).server->port();
   map.shards[1].has_replica = true;
-  map.shards[1].replica = ShardEndpoint{"127.0.0.1", replica->server->port()};
+  map.shards[1].replica = Endpoint{"127.0.0.1", replica->server->port()};
   RouterOptions options = Fleet::FastOptions();
   options.probe_interval_ms = 50;
   options.probe_timeout_ms = 500;
@@ -1471,7 +1485,7 @@ TEST(RouterFailoverTest, SlowShardIsNeverPromotedAwayFrom) {
   ShardMap map = fleet.map();
   map.shards[1].primary.port = relay.port();  // COUNTs now stall 2s
   map.shards[1].has_replica = true;
-  map.shards[1].replica = ShardEndpoint{"127.0.0.1", replica->server->port()};
+  map.shards[1].replica = Endpoint{"127.0.0.1", replica->server->port()};
   RouterOptions options = Fleet::FastOptions();
   options.fanout_deadline_ms = 300;  // the stall outlives every COUNT leg
   RouterService router(std::move(map), options);
@@ -1506,7 +1520,7 @@ TEST(RouterFailoverTest, ResetBlipAgainstAnsweringPrimaryAborts) {
   ShardMap map = fleet.map();
   map.shards[1].primary.port = relay.port();  // COUNT connections now reset
   map.shards[1].has_replica = true;
-  map.shards[1].replica = ShardEndpoint{"127.0.0.1", replica->server->port()};
+  map.shards[1].replica = Endpoint{"127.0.0.1", replica->server->port()};
   RouterOptions options = Fleet::FastOptions();
   options.fanout_deadline_ms = 2'000;
   options.probe_timeout_ms = 1'000;
@@ -1543,7 +1557,7 @@ TEST(RouterFailoverTest, SustainedSilenceFailsOverViaProbeThreshold) {
   ShardMap map = fleet.map();
   map.shards[1].primary.port = relay.port();
   map.shards[1].has_replica = true;
-  map.shards[1].replica = ShardEndpoint{"127.0.0.1", replica->server->port()};
+  map.shards[1].replica = Endpoint{"127.0.0.1", replica->server->port()};
   RouterOptions options = Fleet::FastOptions();
   options.fanout_deadline_ms = 10'000;  // Init's handshake rides the stall out
   options.probe_interval_ms = 50;

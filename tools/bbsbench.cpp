@@ -32,10 +32,7 @@
 #include <cctype>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -46,102 +43,13 @@
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "service/wire.h"
+#include "tool_flags.h"
 #include "util/socket.h"
 #include "util/status.h"
 
 using namespace bbsmine;
 
 namespace {
-
-/// Minimal flag parser: accepts `--flag value` and `--flag=value`;
-/// bare flags map to "true". (Mirrors the bbsmined parser.)
-class Args {
- public:
-  Args(int argc, char** argv, int first) {
-    for (int i = first; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (arg.rfind("--", 0) != 0) {
-        std::cerr << "unexpected argument: " << arg << "\n";
-        std::exit(2);
-      }
-      std::string key = arg.substr(2);
-      if (size_t eq = key.find('='); eq != std::string::npos) {
-        values_[key.substr(0, eq)] = key.substr(eq + 1);
-      } else if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-        values_[key] = argv[++i];
-      } else {
-        values_[key] = "true";
-      }
-    }
-  }
-
-  bool Has(const std::string& key) const { return values_.count(key) != 0; }
-
-  std::string GetString(const std::string& key,
-                        const std::string& fallback = "") const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
-  }
-
-  uint64_t GetUint(const std::string& key, uint64_t fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::strtoull(it->second.c_str(),
-                                                          nullptr, 10);
-  }
-
-  double GetDouble(const std::string& key, double fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback
-                               : std::strtod(it->second.c_str(), nullptr);
-  }
-
- private:
-  std::map<std::string, std::string> values_;
-};
-
-void Usage() {
-  std::cerr <<
-      "usage: bbsbench [--flag value | --flag=value ...]\n"
-      "target:\n"
-      "  --host A.B.C.D      daemon address (default 127.0.0.1)\n"
-      "  --port N            daemon port (required unless --dry-run)\n"
-      "  --target H:P        daemon or bbsrouter endpoint (overrides\n"
-      "                      --host/--port); against a router the report\n"
-      "                      gains a \"cluster\" section with per-shard\n"
-      "                      fan-out deltas\n"
-      "  --connections N     concurrent connections (default 32)\n"
-      "  --timeout-ms N      per-request response timeout (default 5000)\n"
-      "workload (see docs/BENCHMARKS.md):\n"
-      "  --seed N            request-stream seed (default 42)\n"
-      "  --rate R            offered load, requests/s (default 200)\n"
-      "  --duration-s S      stream duration (default 10)\n"
-      "  --arrival KIND      poisson | bursty (default poisson)\n"
-      "  --burst-on-ms M --burst-off-ms M   bursty on/off windows\n"
-      "  --mix-ping W --mix-count W --mix-insert W --mix-mine W\n"
-      "  --mix-stats W       verb weights (default 0/70/20/5/5)\n"
-      "  --items N           item universe size (default 1000)\n"
-      "  --zipf-s S          item skew exponent; 0 = uniform (default 0.99)\n"
-      "  --query-len N       items per COUNT (default 2)\n"
-      "  --insert-len M      mean INSERT transaction size (default 10)\n"
-      "  --minsup F --top N  MINE parameters (default 0.1 / 10)\n"
-      "saturation search (off unless --rate-steps > 0):\n"
-      "  --rate-steps N      stepped-rate points to probe\n"
-      "  --rate-start R      first step's rate (default --rate)\n"
-      "  --rate-factor F     rate multiplier per step (default 2.0)\n"
-      "  --step-duration-s S duration of each step (default 5)\n"
-      "  --slo-p99-ms M      the SLO: client p99 <= M ms (default 50)\n"
-      "  --slo-verb VERB     verb the SLO is judged on (default count)\n"
-      "output:\n"
-      "  --out FILE          report path (default BENCH_service.json)\n"
-      "  --reservoir N       latency samples kept per verb (default 65536)\n"
-      "  --trace-ids         tag every request with a deterministic\n"
-      "                      trace_id (b<seed>-<stream index>) so daemon\n"
-      "                      traces / slow-log lines correlate to the\n"
-      "                      generated stream\n"
-      "  --dry-run           generate the stream only; no daemon needed\n"
-      "  --dump-stream FILE  write the request stream as text (for\n"
-      "                      reproducibility diffs)\n";
-}
 
 constexpr size_t kNumVerbs = 5;
 constexpr TrafficVerb kVerbs[kNumVerbs] = {
@@ -539,8 +447,8 @@ obs::JsonValue BenchClusterJson(const RunResult& run) {
     section.Set("shards_up",
                 obs::JsonValue::Uint(after.at("shards_up").AsUint()));
   }
-  for (const char* key : {"pruned_shard_queries", "hedged_requests",
-                          "degraded_responses", "shard_errors"}) {
+  for (const char* key :
+       {"pruned_shard_queries", "degraded_responses", "shard_errors"}) {
     section.Set(key,
                 obs::JsonValue::Uint(ClusterCounterDelta(before, after, key)));
   }
@@ -574,8 +482,6 @@ obs::JsonValue BenchClusterJson(const RunResult& run) {
       row.Set("pruned_queries",
               obs::JsonValue::Uint(
                   ClusterCounterDelta(b, a, "pruned_queries")));
-      row.Set("hedged",
-              obs::JsonValue::Uint(ClusterCounterDelta(b, a, "hedged")));
       rows.Append(std::move(row));
     }
     section.Set("shards", std::move(rows));
@@ -642,14 +548,6 @@ obs::JsonValue ReportJson(const TrafficSpec& spec, RunResult& run,
   return report;
 }
 
-TrafficVerb ParseSloVerb(const std::string& name) {
-  for (TrafficVerb verb : kVerbs) {
-    if (LowerVerb(verb) == name) return verb;
-  }
-  std::cerr << "bbsbench: unknown --slo-verb " << name << "\n";
-  std::exit(2);
-}
-
 int DumpStream(const std::vector<TrafficRequest>& stream,
                const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -673,79 +571,78 @@ int DumpStream(const std::vector<TrafficRequest>& stream,
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc > 1 && (std::strcmp(argv[1], "--help") == 0 ||
-                   std::strcmp(argv[1], "-h") == 0)) {
-    Usage();
-    return 0;
-  }
-  Args args(argc, argv, 1);
-
   TrafficSpec spec;
-  spec.seed = args.GetUint("seed", 42);
-  spec.rate_rps = args.GetDouble("rate", 200.0);
-  spec.duration_s = args.GetDouble("duration-s", 10.0);
-  std::string arrival = args.GetString("arrival", "poisson");
-  if (arrival == "bursty") {
-    spec.arrival = ArrivalProcess::kBursty;
-  } else if (arrival != "poisson") {
-    std::cerr << "bbsbench: --arrival must be poisson or bursty\n";
-    return 2;
-  }
-  spec.burst_on_ms = args.GetDouble("burst-on-ms", 200.0);
-  spec.burst_off_ms = args.GetDouble("burst-off-ms", 800.0);
-  spec.mix.ping = args.GetDouble("mix-ping", 0.0);
-  spec.mix.count = args.GetDouble("mix-count", 70.0);
-  spec.mix.insert = args.GetDouble("mix-insert", 20.0);
-  spec.mix.mine = args.GetDouble("mix-mine", 5.0);
-  spec.mix.stats = args.GetDouble("mix-stats", 5.0);
-  spec.item_universe = static_cast<uint32_t>(args.GetUint("items", 1000));
-  spec.zipf_s = args.GetDouble("zipf-s", 0.99);
-  spec.query_len = static_cast<uint32_t>(args.GetUint("query-len", 2));
-  spec.insert_len_mean = args.GetDouble("insert-len", 10.0);
-  spec.mine_minsup = args.GetDouble("minsup", 0.1);
-  spec.mine_top = static_cast<uint32_t>(args.GetUint("top", 10));
+  spec.rate_rps = 200.0;
+  spec.mix = {.ping = 0, .count = 70, .insert = 20, .mine = 5, .stats = 5};
+  std::string arrival = "poisson";
+  Endpoint daemon{"127.0.0.1", 0};
+  std::string target;
+  size_t connections = 32;
+  int timeout_ms = 5000;
+  size_t reservoir = 65536;
+  std::string out_path = "BENCH_service.json";
+  bool dry_run = false;
+  bool trace_ids = false;
+  std::string dump;
+  uint64_t rate_steps = 0;
+  double rate_start = 0;
+  double rate_factor = 2.0;
+  double step_duration_s = 5.0;
+  double slo_p99_ms = 50.0;
+  std::string slo_verb_name = "count";
 
-  std::string host = args.GetString("host", "127.0.0.1");
-  const uint64_t port_value = args.GetUint("port", 0);
-  if (port_value > 65535) {
-    std::cerr << "bbsbench: --port must be in [0, 65535], got " << port_value
-              << "\n";
-    return 2;
-  }
-  uint16_t port = static_cast<uint16_t>(port_value);
-  if (std::string target = args.GetString("target"); !target.empty()) {
-    // --target H:P addresses a daemon or a bbsrouter alike (they speak the
-    // same protocol); it overrides --host/--port.
-    size_t colon = target.rfind(':');
-    unsigned long parsed =
-        colon == std::string::npos
-            ? 0
-            : std::strtoul(target.substr(colon + 1).c_str(), nullptr, 10);
-    if (colon == 0 || colon == std::string::npos || parsed == 0 ||
-        parsed > 65535) {
-      std::cerr << "bbsbench: --target must be host:port\n";
-      return 2;
+  FlagSet flags("bbsbench",
+                "open-loop traffic and SLO harness (docs/BENCHMARKS.md)");
+  AddHostPortFlags(&flags, &daemon.host, &daemon.port);
+  flags.String("target", &target, "H:P of a daemon or router (overrides)");
+  flags.Unsigned("connections", &connections, "concurrent connections", 1);
+  flags.Unsigned("timeout-ms", &timeout_ms, "per-request timeout, ms");
+  flags.Unsigned("seed", &spec.seed, "request-stream seed");
+  flags.Double("rate", &spec.rate_rps, "offered load, requests/s");
+  flags.Double("duration-s", &spec.duration_s, "stream duration, s");
+  flags.Choice("arrival", &arrival, "arrival process", {"poisson", "bursty"});
+  flags.Double("burst-on-ms", &spec.burst_on_ms, "bursty on window, ms");
+  flags.Double("burst-off-ms", &spec.burst_off_ms, "bursty off window, ms");
+  flags.Double("mix-ping", &spec.mix.ping, "PING weight");
+  flags.Double("mix-count", &spec.mix.count, "COUNT weight");
+  flags.Double("mix-insert", &spec.mix.insert, "INSERT weight");
+  flags.Double("mix-mine", &spec.mix.mine, "MINE weight");
+  flags.Double("mix-stats", &spec.mix.stats, "STATS weight");
+  flags.Unsigned("items", &spec.item_universe, "item universe size");
+  flags.Double("zipf-s", &spec.zipf_s, "item skew exponent (0 = uniform)");
+  flags.Unsigned("query-len", &spec.query_len, "items per COUNT");
+  flags.Double("insert-len", &spec.insert_len_mean, "mean INSERT size");
+  AddMinsupFlag(&flags, &spec.mine_minsup);
+  flags.Unsigned("top", &spec.mine_top, "MINE result cap");
+  flags.Unsigned("rate-steps", &rate_steps, "saturation steps (0 = off)");
+  flags.Double("rate-start", &rate_start, "first step's rate (--rate)");
+  flags.Double("rate-factor", &rate_factor, "rate multiplier per step");
+  flags.Double("step-duration-s", &step_duration_s, "step duration, s");
+  flags.Double("slo-p99-ms", &slo_p99_ms, "SLO: client p99 <= this, ms");
+  flags.Choice("slo-verb", &slo_verb_name, "verb the SLO is judged on",
+               {"ping", "count", "insert", "mine", "stats"});
+  flags.String("out", &out_path, "report path");
+  flags.Unsigned("reservoir", &reservoir, "latency samples kept per verb");
+  flags.Bool("trace-ids", &trace_ids, "tag requests b<seed>-<index>");
+  flags.Bool("dry-run", &dry_run, "generate the stream only");
+  flags.String("dump-stream", &dump, "write the stream here as text");
+  flags.ParseOrExit(argc, argv, 1);
+  if (arrival == "bursty") spec.arrival = ArrivalProcess::kBursty;
+  if (!flags.WasSet("rate-start")) rate_start = spec.rate_rps;
+  if (!target.empty()) {
+    // A daemon and a bbsrouter speak the same protocol, so --target
+    // addresses either.
+    Result<Endpoint> endpoint = ParseEndpoint(target);
+    if (!endpoint.ok()) {
+      flags.UsageError("--target: " + endpoint.status().message());
     }
-    host = target.substr(0, colon);
-    port = static_cast<uint16_t>(parsed);
+    daemon = *endpoint;
   }
-  const size_t connections = args.GetUint("connections", 32);
-  const int timeout_ms = static_cast<int>(args.GetUint("timeout-ms", 5000));
-  const size_t reservoir = args.GetUint("reservoir", 65536);
-  const std::string out_path = args.GetString("out", "BENCH_service.json");
-  const bool dry_run = args.Has("dry-run");
-  const bool trace_ids = args.Has("trace-ids");
-
-  if (!dry_run && port == 0) {
-    std::cerr << "bbsbench: --port is required (or use --dry-run)\n";
-    return 2;
-  }
-  if (connections == 0) {
-    std::cerr << "bbsbench: --connections must be positive\n";
-    return 2;
+  if (!dry_run && daemon.port == 0) {
+    flags.UsageError("--port is required (or use --dry-run)");
   }
 
-  if (std::string dump = args.GetString("dump-stream"); !dump.empty()) {
+  if (!dump.empty()) {
     Result<std::vector<TrafficRequest>> stream = GenerateTraffic(spec);
     if (!stream.ok()) {
       std::cerr << "bbsbench: " << stream.status().ToString() << "\n";
@@ -768,8 +665,9 @@ int main(int argc, char** argv) {
   }
 
   // Main measured run.
-  Result<RunResult> run = RunTraffic(spec, host, port, connections,
-                                     timeout_ms, reservoir, trace_ids);
+  Result<RunResult> run = RunTraffic(spec, daemon.host, daemon.port,
+                                     connections, timeout_ms, reservoir,
+                                     trace_ids);
   if (!run.ok()) {
     std::cerr << "bbsbench: " << run.status().ToString() << "\n";
     return 1;
@@ -780,23 +678,23 @@ int main(int argc, char** argv) {
   // Optional stepped-rate saturation search: probe increasing offered
   // loads and report the highest one whose client p99 for --slo-verb
   // still meets the SLO.
-  const uint64_t rate_steps = args.GetUint("rate-steps", 0);
   if (rate_steps > 0) {
-    const double slo_p99_ms = args.GetDouble("slo-p99-ms", 50.0);
-    const TrafficVerb slo_verb =
-        ParseSloVerb(args.GetString("slo-verb", "count"));
-    double step_rate = args.GetDouble("rate-start", spec.rate_rps);
-    const double factor = args.GetDouble("rate-factor", 2.0);
+    TrafficVerb slo_verb = TrafficVerb::kCount;
+    for (TrafficVerb verb : kVerbs) {
+      if (LowerVerb(verb) == slo_verb_name) slo_verb = verb;
+    }
+    double step_rate = rate_start;
     TrafficSpec step_spec = spec;
-    step_spec.duration_s = args.GetDouble("step-duration-s", 5.0);
+    step_spec.duration_s = step_duration_s;
 
     obs::JsonValue steps = obs::JsonValue::Array();
     double best_rate = 0.0;
     for (uint64_t s = 0; s < rate_steps; ++s) {
       step_spec.rate_rps = step_rate;
       step_spec.seed = spec.seed + 1000 + s;  // a fresh stream per step
-      Result<RunResult> step = RunTraffic(step_spec, host, port, connections,
-                                          timeout_ms, reservoir, trace_ids);
+      Result<RunResult> step =
+          RunTraffic(step_spec, daemon.host, daemon.port, connections,
+                     timeout_ms, reservoir, trace_ids);
       if (!step.ok()) {
         std::cerr << "bbsbench: saturation step failed: "
                   << step.status().ToString() << "\n";
@@ -823,7 +721,7 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(s), step_rate,
                   TrafficVerbName(slo_verb), p99_ms,
                   met ? "" : " (SLO MISSED)");
-      step_rate *= factor;
+      step_rate *= rate_factor;
     }
     obs::JsonValue saturation = obs::JsonValue::Object();
     saturation.Set("slo_verb", obs::JsonValue::String(

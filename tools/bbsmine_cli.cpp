@@ -1,12 +1,7 @@
 // bbsmine — command-line front end for the BBS mining library.
 //
-// Subcommands:
-//   gen      generate a Quest-style synthetic dataset
-//   convert  convert between FIMI text and the binary database format
-//   build    build a BBS index over a database
-//   stats    show database / index statistics
-//   mine     mine frequent patterns (SFS/SFP/DFS/DFP/apriori/fpgrowth)
-//   count    ad-hoc exact count of an itemset (optionally TID-constrained)
+// `bbsmine --help` lists the subcommands; `bbsmine <command> --help` lists
+// a subcommand's flags with their defaults.
 //
 // Examples:
 //   bbsmine gen --txns 10000 --items 10000 --t 10 --i 10 --out data.fimi
@@ -18,11 +13,10 @@
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
-#include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <sys/stat.h>
@@ -44,6 +38,7 @@
 #include "service/wire.h"
 #include "storage/fimi_io.h"
 #include "storage/transaction_db.h"
+#include "tool_flags.h"
 #include "util/bitvector_kernels.h"
 #include "util/rusage.h"
 #include "util/socket.h"
@@ -52,63 +47,6 @@
 using namespace bbsmine;
 
 namespace {
-
-/// Minimal flag parser: accepts `--flag value` and `--flag=value`;
-/// bare flags map to "true".
-class Args {
- public:
-  Args(int argc, char** argv, int first) {
-    for (int i = first; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (arg.rfind("--", 0) != 0) {
-        std::cerr << "unexpected argument: " << arg << "\n";
-        std::exit(2);
-      }
-      std::string key = arg.substr(2);
-      if (size_t eq = key.find('='); eq != std::string::npos) {
-        values_[key.substr(0, eq)] = key.substr(eq + 1);
-      } else if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-        values_[key] = argv[++i];
-      } else {
-        values_[key] = "true";
-      }
-    }
-  }
-
-  std::string GetString(const std::string& key,
-                        const std::string& fallback = "") const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
-  }
-
-  std::string Require(const std::string& key) const {
-    auto it = values_.find(key);
-    if (it == values_.end()) {
-      std::cerr << "missing required flag --" << key << "\n";
-      std::exit(2);
-    }
-    return it->second;
-  }
-
-  uint64_t GetUint(const std::string& key, uint64_t fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::strtoull(it->second.c_str(),
-                                                          nullptr, 10);
-  }
-
-  double GetDouble(const std::string& key, double fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback
-                               : std::strtod(it->second.c_str(), nullptr);
-  }
-
-  bool GetBool(const std::string& key) const {
-    return GetString(key) == "true";
-  }
-
- private:
-  std::map<std::string, std::string> values_;
-};
 
 [[noreturn]] void Die(const Status& status) {
   std::cerr << "error: " << status.ToString() << "\n";
@@ -132,12 +70,6 @@ TransactionDatabase LoadDb(const std::string& path) {
   return std::move(db).value();
 }
 
-IndexBackend ParseBackendFlag(const Args& args) {
-  auto backend = ParseIndexBackend(args.GetString("index-backend", "resident"));
-  if (!backend.ok()) Die(backend.status());
-  return *backend;
-}
-
 /// Loads a monolithic index honoring --index-backend: "resident" reads and
 /// fully verifies the file into heap slices; "mmap" serves the v2 aligned
 /// file in place (header-verified, slice pages faulted on demand).
@@ -147,29 +79,45 @@ Result<BbsIndex> LoadIndexWithBackend(const std::string& path,
                                         : BbsIndex::Load(path);
 }
 
-Itemset ParseItems(const std::string& spec) {
+/// Parses one unsigned field of a compound flag value ("--items A,B,C",
+/// "--tid-mod M:R"); malformed text is a usage error naming the flag.
+uint64_t ParseField(const FlagSet& flags, const char* flag,
+                    std::string_view text, uint64_t max = UINT64_MAX) {
+  uint64_t value = 0;
+  if (Status parsed = ParseUnsignedText(text, 0, max, &value); !parsed.ok()) {
+    flags.UsageError(std::string("--") + flag + ": " + parsed.message());
+  }
+  return value;
+}
+
+Itemset ParseItems(const FlagSet& flags, const std::string& spec) {
   Itemset items;
   size_t pos = 0;
   while (pos < spec.size()) {
     size_t comma = spec.find(',', pos);
     if (comma == std::string::npos) comma = spec.size();
-    items.push_back(static_cast<ItemId>(
-        std::strtoul(spec.substr(pos, comma - pos).c_str(), nullptr, 10)));
+    const std::string_view item =
+        std::string_view(spec).substr(pos, comma - pos);
+    items.push_back(
+        static_cast<ItemId>(ParseField(flags, "items", item, UINT32_MAX)));
     pos = comma + 1;
   }
   Canonicalize(&items);
   return items;
 }
 
-int CmdGen(const Args& args) {
+int CmdGen(FlagSet& flags, int argc, char** argv) {
   QuestConfig config;
-  config.num_transactions = static_cast<uint32_t>(args.GetUint("txns", 10'000));
-  config.num_items = static_cast<uint32_t>(args.GetUint("items", 10'000));
-  config.avg_transaction_size = args.GetDouble("t", 10);
-  config.avg_pattern_size = args.GetDouble("i", 10);
-  config.num_patterns = static_cast<uint32_t>(args.GetUint("patterns", 2'000));
-  config.seed = args.GetUint("seed", 42);
-  std::string out = args.Require("out");
+  std::string out;
+  flags.String("out", &out, "output (.fimi/.dat text, else binary)",
+               FlagSet::kRequired);
+  flags.Unsigned("txns", &config.num_transactions, "transactions (D)");
+  flags.Unsigned("items", &config.num_items, "item universe (N)");
+  flags.Double("t", &config.avg_transaction_size, "mean transaction size");
+  flags.Double("i", &config.avg_pattern_size, "mean pattern size");
+  flags.Unsigned("patterns", &config.num_patterns, "pattern pool size");
+  flags.Unsigned("seed", &config.seed, "generator seed");
+  flags.ParseOrExit(argc, argv, 2);
 
   auto db = GenerateQuest(config);
   if (!db.ok()) Die(db.status());
@@ -184,9 +132,14 @@ int CmdGen(const Args& args) {
   return 0;
 }
 
-int CmdConvert(const Args& args) {
-  TransactionDatabase db = LoadDb(args.Require("in"));
-  std::string out = args.Require("out");
+int CmdConvert(FlagSet& flags, int argc, char** argv) {
+  std::string in;
+  std::string out;
+  flags.String("in", &in, "input (.fimi/.dat/.txt text)", FlagSet::kRequired);
+  flags.String("out", &out, "output (.fimi/.dat text, else binary)",
+               FlagSet::kRequired);
+  flags.ParseOrExit(argc, argv, 2);
+  TransactionDatabase db = LoadDb(in);
   Status status = EndsWith(out, ".fimi") || EndsWith(out, ".dat")
                       ? WriteFimi(db, out)
                       : db.Save(out);
@@ -195,28 +148,28 @@ int CmdConvert(const Args& args) {
   return 0;
 }
 
-int CmdBuild(const Args& args) {
-  TransactionDatabase db = LoadDb(args.Require("db"));
+int CmdBuild(FlagSet& flags, int argc, char** argv) {
+  std::string db_path;
+  std::string out;
   BbsConfig config;
-  config.num_bits = static_cast<uint32_t>(args.GetUint("bits", 1600));
-  config.num_hashes = static_cast<uint32_t>(args.GetUint("hashes", 4));
-  std::string hash = args.GetString("hash", "md5");
-  if (hash == "md5") {
-    config.hash_kind = HashKind::kMd5;
-  } else if (hash == "mult") {
-    config.hash_kind = HashKind::kMultiplyShift;
-  } else if (hash == "mod") {
-    config.hash_kind = HashKind::kModulo;
-  } else {
-    std::cerr << "unknown --hash (use md5 | mult | mod)\n";
-    return 2;
-  }
-  config.seed = args.GetUint("seed", 0);
-  std::string out = args.Require("out");
+  std::string hash = "md5";
+  uint64_t capacity = 0;
+  flags.String("db", &db_path, "transaction database", FlagSet::kRequired);
+  flags.String("out", &out, "index file or segmented prefix",
+               FlagSet::kRequired);
+  flags.Unsigned("bits", &config.num_bits, "signature width m");
+  flags.Unsigned("hashes", &config.num_hashes, "hashes per item k");
+  flags.Choice("hash", &hash, "hash family", {"md5", "mult", "mod"});
+  flags.Unsigned("seed", &config.seed, "hash seed");
+  flags.Unsigned("segment-capacity", &capacity,
+                 "> 0: segmented index (OUT.manifest), as bbsmined serves");
+  flags.ParseOrExit(argc, argv, 2);
+  config.hash_kind = hash == "md5"    ? HashKind::kMd5
+                     : hash == "mult" ? HashKind::kMultiplyShift
+                                      : HashKind::kModulo;
+  TransactionDatabase db = LoadDb(db_path);
 
-  // --segment-capacity selects a segmented index (one file per segment
-  // plus <out>.manifest) — the format bbsmined serves incrementally.
-  if (uint64_t capacity = args.GetUint("segment-capacity", 0); capacity > 0) {
+  if (capacity > 0) {
     auto segmented = SegmentedBbs::Create(config, capacity);
     if (!segmented.ok()) Die(segmented.status());
     if (Status st = segmented->InsertAll(db); !st.ok()) Die(st);
@@ -243,9 +196,14 @@ int CmdBuild(const Args& args) {
   return 0;
 }
 
-int CmdStats(const Args& args) {
-  if (std::string path = args.GetString("db"); !path.empty()) {
-    TransactionDatabase db = LoadDb(path);
+int CmdStats(FlagSet& flags, int argc, char** argv) {
+  std::string db_path;
+  std::string index_path;
+  flags.String("db", &db_path, "database to describe");
+  flags.String("index", &index_path, "index to describe");
+  flags.ParseOrExit(argc, argv, 2);
+  if (!db_path.empty()) {
+    TransactionDatabase db = LoadDb(db_path);
     uint64_t total_items = 0;
     size_t max_len = 0;
     for (size_t t = 0; t < db.size(); ++t) {
@@ -255,7 +213,7 @@ int CmdStats(const Args& args) {
     std::printf("database %s:\n  transactions: %zu\n  item universe: %u\n"
                 "  distinct items: %zu\n  avg txn length: %.2f (max %zu)\n"
                 "  serialized bytes: %llu\n",
-                path.c_str(), db.size(), db.item_universe(),
+                db_path.c_str(), db.size(), db.item_universe(),
                 db.DistinctItems().size(),
                 db.empty() ? 0.0
                            : static_cast<double>(total_items) /
@@ -263,8 +221,8 @@ int CmdStats(const Args& args) {
                 max_len,
                 static_cast<unsigned long long>(db.SerializedBytes()));
   }
-  if (std::string path = args.GetString("index"); !path.empty()) {
-    auto bbs = BbsIndex::Load(path);
+  if (!index_path.empty()) {
+    auto bbs = BbsIndex::Load(index_path);
     if (!bbs.ok()) Die(bbs.status());
     size_t min_pop = SIZE_MAX;
     size_t max_pop = 0;
@@ -278,7 +236,7 @@ int CmdStats(const Args& args) {
     std::printf("index %s:\n  m=%u bits, k=%u hashes, hash kind %d%s\n"
                 "  transactions: %zu\n  serialized bytes: %llu\n"
                 "  slice popcount min/avg/max: %zu / %.1f / %zu\n",
-                path.c_str(), bbs->num_bits(), bbs->config().num_hashes,
+                index_path.c_str(), bbs->num_bits(), bbs->config().num_hashes,
                 static_cast<int>(bbs->config().hash_kind),
                 bbs->is_folded() ? " (folded)" : "",
                 bbs->num_transactions(),
@@ -292,23 +250,51 @@ int CmdStats(const Args& args) {
   return 0;
 }
 
-int CmdMine(const Args& args) {
-  TransactionDatabase db = LoadDb(args.Require("db"));
-  double min_support = args.GetDouble("minsup", 0.003);
-  std::string algo = args.GetString("algo", "dfp");
-  size_t top = args.GetUint("top", 10);
-  std::string stats_json = args.GetString("stats-json");
-  std::string trace_out = args.GetString("trace-out");
+int CmdMine(FlagSet& flags, int argc, char** argv) {
+  // Report context; only the BBS schemes fill the config/index fields.
+  MineConfig config;
+  std::string db_path;
+  std::string index_path;
+  std::string algo = "dfp";
+  size_t top = 10;
+  bool closed = false;
+  bool maximal = false;
+  std::string out;
+  std::string stats_json;
+  bool report = false;
+  std::string trace_out;
+  bool trace_kernels = false;
+  std::string backend_name = "resident";
+  flags.String("db", &db_path, "transaction database", FlagSet::kRequired);
+  flags.String("index", &index_path, "BBS index (BBS schemes)");
+  flags.Choice("algo", &algo, "mining scheme",
+               {"sfs", "sfp", "dfs", "dfp", "apriori", "fpgrowth", "eclat"});
+  AddMinsupFlag(&flags, &config.min_support);
+  flags.Unsigned("budget", &config.memory_budget_bytes,
+                 "memory budget, bytes (0 = unlimited)");
+  flags.Unsigned("top", &top, "patterns printed");
+  flags.Unsigned("threads", &config.num_threads,
+                 "BBS threads (0 = all cores; same patterns at any count)");
+  flags.Bool("closed", &closed, "keep only closed patterns");
+  flags.Bool("maximal", &maximal, "keep only maximal patterns");
+  flags.String("out", &out, "write every pattern here");
+  flags.String("stats-json", &stats_json, "write the JSON run report here");
+  flags.Bool("report", &report, "print the run report as a table");
+  flags.String("trace-out", &trace_out,
+               "write a Chrome trace here (BBS schemes; ui.perfetto.dev)");
+  flags.Bool("trace-kernels", &trace_kernels, "also trace kernel calls");
+  AddIndexBackendFlag(&flags, &backend_name);
+  flags.ParseOrExit(argc, argv, 2);
+  const double min_support = config.min_support;
+  TransactionDatabase db = LoadDb(db_path);
 
   std::optional<obs::Tracer> tracer;
   if (!trace_out.empty()) {
     uint32_t categories = obs::kTraceDefault;
-    if (args.GetBool("trace-kernels")) categories |= obs::kTraceKernel;
+    if (trace_kernels) categories |= obs::kTraceKernel;
     tracer.emplace(categories);
   }
 
-  // Report context; only the BBS schemes fill the config/index fields.
-  MineConfig config;
   uint32_t index_bits = 0;
   uint32_t index_hashes = 0;
   std::string index_backend = "resident";
@@ -320,7 +306,7 @@ int CmdMine(const Args& args) {
   if (algo == "apriori") {
     AprioriConfig apriori_config;
     apriori_config.min_support = min_support;
-    apriori_config.memory_budget_bytes = args.GetUint("budget", 0);
+    apriori_config.memory_budget_bytes = config.memory_budget_bytes;
     result = MineApriori(db, apriori_config);
   } else if (algo == "eclat") {
     EclatConfig eclat_config;
@@ -329,29 +315,18 @@ int CmdMine(const Args& args) {
   } else if (algo == "fpgrowth") {
     FpGrowthConfig fp_config;
     fp_config.min_support = min_support;
-    fp_config.memory_budget_bytes = args.GetUint("budget", 0);
+    fp_config.memory_budget_bytes = config.memory_budget_bytes;
     result = MineFpGrowth(db, fp_config);
   } else {
     is_bbs = true;
-    config.min_support = min_support;
-    config.memory_budget_bytes = args.GetUint("budget", 0);
-    config.num_threads = static_cast<uint32_t>(args.GetUint("threads", 1));
     if (tracer.has_value()) config.tracer = &*tracer;
-    if (algo == "sfs") {
-      config.algorithm = Algorithm::kSFS;
-    } else if (algo == "sfp") {
-      config.algorithm = Algorithm::kSFP;
-    } else if (algo == "dfs") {
-      config.algorithm = Algorithm::kDFS;
-    } else if (algo == "dfp") {
-      config.algorithm = Algorithm::kDFP;
-    } else {
-      std::cerr
-          << "unknown --algo (sfs|sfp|dfs|dfp|apriori|fpgrowth|eclat)\n";
-      return 2;
-    }
-    auto bbs = LoadIndexWithBackend(args.Require("index"),
-                                    ParseBackendFlag(args));
+    config.algorithm = algo == "sfs"   ? Algorithm::kSFS
+                       : algo == "sfp" ? Algorithm::kSFP
+                       : algo == "dfs" ? Algorithm::kDFS
+                                       : Algorithm::kDFP;
+    if (index_path.empty()) flags.UsageError("missing required flag --index");
+    auto bbs =
+        LoadIndexWithBackend(index_path, *ParseIndexBackend(backend_name));
     if (!bbs.ok()) Die(bbs.status());
     if (bbs->num_transactions() != db.size()) {
       std::cerr << "index/database mismatch: " << bbs->num_transactions()
@@ -367,7 +342,7 @@ int CmdMine(const Args& args) {
     fault_delta = CurrentPageFaults() - faults_before;
   }
 
-  if (!stats_json.empty() || args.GetBool("report")) {
+  if (!stats_json.empty() || report) {
     obs::RunReportContext ctx;
     for (char& c : algo) c = static_cast<char>(std::toupper(c));
     ctx.scheme = algo;
@@ -384,14 +359,14 @@ int CmdMine(const Args& args) {
     ctx.resident_slice_bytes = resident_slice_bytes;
     ctx.minor_faults = fault_delta.minor;
     ctx.major_faults = fault_delta.major;
-    obs::JsonValue report = obs::BuildRunReport(ctx, result);
+    obs::JsonValue run_report = obs::BuildRunReport(ctx, result);
     if (!stats_json.empty()) {
-      if (Status st = obs::WriteJsonFile(report, stats_json); !st.ok()) {
+      if (Status st = obs::WriteJsonFile(run_report, stats_json); !st.ok()) {
         Die(st);
       }
       std::printf("wrote run report to %s\n", stats_json.c_str());
     }
-    if (args.GetBool("report")) obs::PrintRunReportTable(report, std::cout);
+    if (report) obs::PrintRunReportTable(run_report, std::cout);
   }
   if (tracer.has_value()) {
     if (Status st = tracer->WriteJson(trace_out); !st.ok()) Die(st);
@@ -421,16 +396,15 @@ int CmdMine(const Args& args) {
                 static_cast<unsigned long long>(result.patterns[i].support),
                 ItemsetToString(result.patterns[i].items).c_str());
   }
-  if (args.GetBool("closed") || args.GetBool("maximal")) {
-    std::vector<Pattern> condensed = args.GetBool("maximal")
+  if (closed || maximal) {
+    std::vector<Pattern> condensed = maximal
                                          ? MaximalPatterns(result.patterns)
                                          : ClosedPatterns(result.patterns);
-    std::printf("%s patterns: %zu of %zu\n",
-                args.GetBool("maximal") ? "maximal" : "closed",
+    std::printf("%s patterns: %zu of %zu\n", maximal ? "maximal" : "closed",
                 condensed.size(), result.patterns.size());
     result.patterns = std::move(condensed);
   }
-  if (std::string out = args.GetString("out"); !out.empty()) {
+  if (!out.empty()) {
     std::FILE* f = std::fopen(out.c_str(), "w");
     if (f == nullptr) {
       std::cerr << "cannot open " << out << "\n";
@@ -457,19 +431,17 @@ bool FileExists(const std::string& path) {
 /// Index-only count: no database, so no refinement — the printed estimate
 /// is exactly what the daemon answers from a snapshot of the same index.
 /// This is the oracle the CI smoke test diffs `bbsmine client` against.
-int CmdCountIndexOnly(const Args& args) {
-  std::string index_arg = args.Require("index");
-  Itemset items = ParseItems(args.Require("items"));
+int CountIndexOnly(const std::string& index_path, const Itemset& items,
+                   IndexBackend backend) {
   size_t estimate;
   size_t transactions;
-  const IndexBackend backend = ParseBackendFlag(args);
-  if (FileExists(index_arg + ".manifest")) {
-    auto segmented = SegmentedBbs::Load(index_arg, nullptr, backend);
+  if (FileExists(index_path + ".manifest")) {
+    auto segmented = SegmentedBbs::Load(index_path, nullptr, backend);
     if (!segmented.ok()) Die(segmented.status());
     estimate = segmented->CountItemSet(items);
     transactions = segmented->num_transactions();
   } else {
-    auto bbs = LoadIndexWithBackend(index_arg, backend);
+    auto bbs = LoadIndexWithBackend(index_path, backend);
     if (!bbs.ok()) Die(bbs.status());
     estimate = bbs->CountItemSet(items);
     transactions = bbs->num_transactions();
@@ -480,27 +452,42 @@ int CmdCountIndexOnly(const Args& args) {
   return 0;
 }
 
-int CmdCount(const Args& args) {
-  if (args.GetString("db").empty()) return CmdCountIndexOnly(args);
-  TransactionDatabase db = LoadDb(args.Require("db"));
-  auto bbs = LoadIndexWithBackend(args.Require("index"),
-                                  ParseBackendFlag(args));
+int CmdCount(FlagSet& flags, int argc, char** argv) {
+  std::string db_path;
+  std::string index_path;
+  std::string items_spec;
+  std::string tid_mod;
+  std::string backend_name = "resident";
+  flags.String("db", &db_path,
+               "transaction database; without it, the index-only estimate");
+  flags.String("index", &index_path, "BBS index or segmented prefix",
+               FlagSet::kRequired);
+  flags.String("items", &items_spec, "itemset A,B,C", FlagSet::kRequired);
+  flags.String("tid-mod", &tid_mod, "M:R: only tids with tid % M == R");
+  AddIndexBackendFlag(&flags, &backend_name);
+  flags.ParseOrExit(argc, argv, 2);
+  const Itemset items = ParseItems(flags, items_spec);
+  const IndexBackend backend = *ParseIndexBackend(backend_name);
+  if (db_path.empty()) {
+    if (!tid_mod.empty()) flags.UsageError("--tid-mod needs --db");
+    return CountIndexOnly(index_path, items, backend);
+  }
+
+  TransactionDatabase db = LoadDb(db_path);
+  auto bbs = LoadIndexWithBackend(index_path, backend);
   if (!bbs.ok()) Die(bbs.status());
-  Itemset items = ParseItems(args.Require("items"));
 
   BitVector constraint;
   const BitVector* constraint_ptr = nullptr;
-  if (std::string spec = args.GetString("tid-mod"); !spec.empty()) {
-    size_t colon = spec.find(':');
-    uint64_t mod = std::strtoull(spec.substr(0, colon).c_str(), nullptr, 10);
-    uint64_t rem = colon == std::string::npos
-                       ? 0
-                       : std::strtoull(spec.substr(colon + 1).c_str(),
-                                       nullptr, 10);
-    if (mod == 0) {
-      std::cerr << "--tid-mod wants M:R with M > 0\n";
-      return 2;
-    }
+  if (!tid_mod.empty()) {
+    const size_t colon = tid_mod.find(':');
+    const std::string_view spec(tid_mod);
+    const uint64_t mod = ParseField(flags, "tid-mod", spec.substr(0, colon));
+    const uint64_t rem =
+        colon == std::string::npos
+            ? 0
+            : ParseField(flags, "tid-mod", spec.substr(colon + 1));
+    if (mod == 0) flags.UsageError("--tid-mod wants M:R with M > 0");
     constraint = MakeConstraintSlice(db, [mod, rem](const Transaction& txn) {
       return txn.tid % mod == rem;
     });
@@ -519,17 +506,21 @@ int CmdCount(const Args& args) {
   return 0;
 }
 
-int CmdRules(const Args& args) {
-  TransactionDatabase db = LoadDb(args.Require("db"));
-  double min_support = args.GetDouble("minsup", 0.003);
+int CmdRules(FlagSet& flags, int argc, char** argv) {
+  std::string db_path;
   FpGrowthConfig mine;
-  mine.min_support = min_support;
+  RuleConfig config;
+  config.max_rules = 20;
+  flags.String("db", &db_path, "transaction database", FlagSet::kRequired);
+  AddMinsupFlag(&flags, &mine.min_support);
+  flags.Double("minconf", &config.min_confidence, "minimum confidence");
+  flags.Unsigned("top", &config.max_rules, "rules printed");
+  flags.ParseOrExit(argc, argv, 2);
+  const double min_support = mine.min_support;
+  TransactionDatabase db = LoadDb(db_path);
   MiningResult result = MineFpGrowth(db, mine);
   result.SortPatterns();
 
-  RuleConfig config;
-  config.min_confidence = args.GetDouble("minconf", 0.5);
-  config.max_rules = args.GetUint("top", 20);
   std::vector<AssociationRule> rules =
       GenerateRules(result, db.size(), config);
   std::printf("%zu rules (minsup %.3f%%, minconf %.2f)\n", rules.size(),
@@ -543,17 +534,24 @@ int CmdRules(const Args& args) {
   return 0;
 }
 
-int CmdApprox(const Args& args) {
-  TransactionDatabase db = LoadDb(args.Require("db"));
-  auto bbs = BbsIndex::Load(args.Require("index"));
+int CmdApprox(FlagSet& flags, int argc, char** argv) {
+  std::string db_path;
+  std::string index_path;
+  ApproxMineConfig config;
+  size_t top = 10;
+  flags.String("db", &db_path, "transaction database", FlagSet::kRequired);
+  flags.String("index", &index_path, "BBS index", FlagSet::kRequired);
+  AddMinsupFlag(&flags, &config.min_support);
+  flags.Double("minconf", &config.min_confidence, "minimum confidence");
+  flags.Unsigned("top", &top, "patterns printed");
+  flags.ParseOrExit(argc, argv, 2);
+  TransactionDatabase db = LoadDb(db_path);
+  auto bbs = BbsIndex::Load(index_path);
   if (!bbs.ok()) Die(bbs.status());
   if (bbs->num_transactions() != db.size()) {
     std::cerr << "index/database mismatch\n";
     return 1;
   }
-  ApproxMineConfig config;
-  config.min_support = args.GetDouble("minsup", 0.003);
-  config.min_confidence = args.GetDouble("minconf", 0.0);
   Itemset universe(db.item_universe());
   for (ItemId i = 0; i < db.item_universe(); ++i) universe[i] = i;
 
@@ -570,7 +568,6 @@ int CmdApprox(const Args& args) {
             [](const ApproxPattern& a, const ApproxPattern& b) {
               return a.est > b.est;
             });
-  size_t top = args.GetUint("top", 10);
   for (size_t i = 0; i < std::min(top, patterns.size()); ++i) {
     std::printf("  est %-7llu conf %.3f%s  %s\n",
                 static_cast<unsigned long long>(patterns[i].est),
@@ -581,31 +578,25 @@ int CmdApprox(const Args& args) {
   return 0;
 }
 
-/// Talks to a running bbsmined (docs/SERVICE.md): sends one request frame,
-/// prints the response. --json dumps the raw response document (what the
-/// CI smoke test parses); the default output is a human-readable summary.
-///
-/// Backpressure (Unavailable) responses are retried --retries times with
-/// exponential backoff; response timeouts are retried only for idempotent
-/// verbs (PING/COUNT/STATS/MINE); transport failures are not retried.
-/// Exit codes: 0 ok, 1 application error, 2 usage, 3 transport error,
-/// 4 retries exhausted on backpressure, 5 indeterminate (a non-idempotent
-/// request such as INSERT was sent but its response timed out — it may or
-/// may not have been applied; reconcile before re-sending).
-int CmdSplit(const Args& args) {
-  // Contiguous transaction-range partition for a bbsrouter fleet: shard i
-  // holds the i-th range, so concatenating the shard databases in shard
-  // order reproduces the input exactly — the invariant cluster answers
-  // (and their bit-identity tests) rest on. When the count does not divide
-  // evenly the first (size % shards) shards take one extra transaction.
-  TransactionDatabase db = LoadDb(args.Require("db"));
-  const uint64_t shards = args.GetUint("shards", 0);
+/// Contiguous transaction-range partition for a bbsrouter fleet: shard i
+/// holds the i-th range, so concatenating the shard databases in shard
+/// order reproduces the input exactly — the invariant cluster answers
+/// (and their bit-identity tests) rest on. When the count does not divide
+/// evenly the first (size % shards) shards take one extra transaction.
+int CmdSplit(FlagSet& flags, int argc, char** argv) {
+  std::string db_path;
+  uint64_t shards = 0;
+  std::string prefix;
+  flags.String("db", &db_path, "transaction database", FlagSet::kRequired);
+  flags.Unsigned("shards", &shards, "shard count, 1 .. database size");
+  flags.String("out-prefix", &prefix, "writes P.0.db .. P.<N-1>.db",
+               FlagSet::kRequired);
+  flags.ParseOrExit(argc, argv, 2);
+  TransactionDatabase db = LoadDb(db_path);
   if (shards == 0 || shards > db.size()) {
-    std::cerr << "--shards must be in [1, " << db.size()
-              << "] (the database size)\n";
-    return 2;
+    flags.UsageError("--shards must be in [1, " + std::to_string(db.size()) +
+                     "] (the database size)");
   }
-  const std::string prefix = args.Require("out-prefix");
   const size_t base = db.size() / shards;
   const size_t extra = db.size() % shards;
   size_t next = 0;
@@ -623,43 +614,57 @@ int CmdSplit(const Args& args) {
   return 0;
 }
 
-int CmdClient(const Args& args) {
-  std::string host = args.GetString("host", "127.0.0.1");
-  const uint64_t port_value = args.GetUint("port", 7071);
-  if (port_value > 65535) {
-    std::cerr << "bbsmine client: --port must be in [0, 65535], got "
-              << port_value << "\n";
-    return 2;
-  }
-  uint16_t port = static_cast<uint16_t>(port_value);
-  std::string verb = args.GetString("verb", "PING");
+/// Talks to a running bbsmined (docs/SERVICE.md): sends one request frame,
+/// prints the response. --json dumps the raw response document (what the
+/// CI smoke test parses); the default output is a human-readable summary.
+///
+/// Backpressure (Unavailable) responses are retried --retries times with
+/// exponential backoff; response timeouts are retried only for idempotent
+/// verbs (PING/COUNT/STATS/MINE); transport failures are not retried.
+/// Exit codes: 0 ok, 1 application error, 2 usage, 3 transport error,
+/// 4 retries exhausted on backpressure, 5 indeterminate (a non-idempotent
+/// request such as INSERT was sent but its response timed out — it may or
+/// may not have been applied; reconcile before re-sending).
+int CmdClient(FlagSet& flags, int argc, char** argv) {
+  std::string host = "127.0.0.1";
+  uint16_t port = 7071;
+  std::string verb = "PING";
+  std::string items;
+  double minsup = 0.003;
+  uint64_t top = 10;
+  std::string trace_id;
+  bool json = false;
+  service::RetryOptions retry;
+  AddHostPortFlags(&flags, &host, &port);
+  flags.String("verb", &verb,
+               "PING|COUNT|MINE|INSERT|STATS|CHECKPOINT|DUMP|SHARDINFO");
+  flags.String("items", &items, "itemset A,B,C (COUNT, INSERT)");
+  AddMinsupFlag(&flags, &minsup);
+  flags.Unsigned("top", &top, "MINE result cap");
+  flags.String("trace-id", &trace_id, "request id for spans and logs");
+  flags.Bool("json", &json, "print the raw response");
+  AddRetryFlags(&flags, &retry);
+  flags.Unsigned("timeout-ms", &retry.timeout_ms, "per-attempt timeout, ms");
+  flags.Unsigned("jitter-seed", &retry.jitter_seed, "backoff jitter seed");
+  flags.ParseOrExit(argc, argv, 2);
   for (char& c : verb) c = static_cast<char>(std::toupper(c));
 
   obs::JsonValue request = obs::JsonValue::Object();
   request.Set("verb", obs::JsonValue::String(verb));
-  if (std::string spec = args.GetString("items"); !spec.empty()) {
-    request.Set("items", service::ItemsToJson(ParseItems(spec)));
+  if (!items.empty()) {
+    request.Set("items", service::ItemsToJson(ParseItems(flags, items)));
   }
-  if (std::string minsup = args.GetString("minsup"); !minsup.empty()) {
-    request.Set("minsup",
-                obs::JsonValue::Double(args.GetDouble("minsup", 0.003)));
+  // minsup and top go on the wire only when given, so the server's own
+  // defaults apply otherwise.
+  if (flags.WasSet("minsup")) {
+    request.Set("minsup", obs::JsonValue::Double(minsup));
   }
-  if (std::string top = args.GetString("top"); !top.empty()) {
-    request.Set("top", obs::JsonValue::Uint(args.GetUint("top", 10)));
-  }
-  if (std::string trace_id = args.GetString("trace-id"); !trace_id.empty()) {
+  if (flags.WasSet("top")) request.Set("top", obs::JsonValue::Uint(top));
+  if (!trace_id.empty()) {
     // Client-supplied request identity: the daemon tags this request's
     // spans, slow-log line, and flight-recorder event with it.
     request.Set("trace_id", obs::JsonValue::String(trace_id));
   }
-
-  service::RetryOptions retry;
-  retry.retries = static_cast<uint32_t>(args.GetUint("retries", 0));
-  retry.backoff_ms = static_cast<uint32_t>(args.GetUint("backoff-ms", 100));
-  retry.max_backoff_ms =
-      static_cast<uint32_t>(args.GetUint("max-backoff-ms", 5000));
-  retry.timeout_ms = static_cast<int>(args.GetUint("timeout-ms", 30'000));
-  retry.jitter_seed = args.GetUint("jitter-seed", 1);
 
   // One persistent session (the router-pool API); still one-shot here —
   // the process exits after a single exchange, so behavior is unchanged.
@@ -680,7 +685,7 @@ int CmdClient(const Args& args) {
     std::fprintf(stderr, "note: %u attempts\n", outcome->attempts);
   }
 
-  if (args.GetBool("json")) {
+  if (json) {
     std::printf("%s\n", response->Serialize(2).c_str());
   } else if (!response->at("ok").AsBool()) {
     const obs::JsonValue& error = response->at("error");
@@ -735,75 +740,58 @@ int CmdClient(const Args& args) {
   return response->at("ok").AsBool() ? 0 : 1;
 }
 
-void Usage() {
-  std::cerr <<
-      "usage: bbsmine <command> [--flag value | --flag=value ...]\n"
-      "commands:\n"
-      "  gen      --out FILE [--txns N] [--items N] [--t F] [--i F]\n"
-      "           [--patterns N] [--seed N]\n"
-      "  convert  --in FILE --out FILE      (.fimi/.dat = text, else binary)\n"
-      "  build    --db FILE --out FILE [--bits N] [--hashes N]\n"
-      "           [--hash md5|mult|mod] [--seed N]\n"
-      "           [--segment-capacity N]  (segmented index: one file per\n"
-      "           segment plus OUT.manifest; the format bbsmined serves)\n"
-      "  stats    [--db FILE] [--index FILE]\n"
-      "  mine     --db FILE [--index FILE] [--algo sfs|sfp|dfs|dfp|apriori|\n"
-      "           fpgrowth|eclat] [--minsup F] [--budget BYTES] [--top N]\n"
-      "           [--threads N]  (0 = one per hardware thread; BBS algos\n"
-      "           only; the pattern set is identical at any thread count)\n"
-      "           [--closed | --maximal] [--out FILE]\n"
-      "           [--stats-json FILE]  (schema-versioned JSON run report)\n"
-      "           [--report]           (human-readable run-report table)\n"
-      "           [--trace-out FILE]   (Chrome trace-event JSON; view at\n"
-      "           chrome://tracing or ui.perfetto.dev; BBS algos only)\n"
-      "           [--trace-kernels]    (also trace per-kernel-call spans)\n"
-      "           [--index-backend resident|mmap]  (mmap serves the v2\n"
-      "           aligned index in place: near-zero heap, pages faulted on\n"
-      "           demand; results are bit-identical to resident)\n"
-      "  count    --db FILE --index FILE --items A,B,C [--tid-mod M:R]\n"
-      "           (omit --db for the estimate-only oracle over a saved\n"
-      "           index or segmented-index prefix)\n"
-      "           [--index-backend resident|mmap]\n"
-      "  client   [--host A] [--port N] [--verb PING|COUNT|MINE|INSERT|\n"
-      "           STATS|CHECKPOINT|DUMP|SHARDINFO] [--items A,B,C]\n"
-      "           [--minsup F]\n"
-      "           [--top N] [--trace-id ID] (tag the request's spans,\n"
-      "           slow-log line, and flight-recorder event)\n"
-      "           [--json] [--retries N] [--backoff-ms N]\n"
-      "           [--max-backoff-ms N] [--timeout-ms N]\n"
-      "           (talks to a running bbsmined; retries Unavailable with\n"
-      "           exponential backoff; response timeouts retry only for\n"
-      "           idempotent verbs; exit 0 ok, 1 application error,\n"
-      "           3 transport error, 4 backpressure retries exhausted,\n"
-      "           5 indeterminate: INSERT sent but response timed out)\n"
-      "  split    --db FILE --shards N --out-prefix P\n"
-      "           (contiguous transaction-range partition for a bbsrouter\n"
-      "           fleet: writes P.0.db .. P.N-1.db; concatenating them in\n"
-      "           shard order reproduces the input exactly)\n"
-      "  rules    --db FILE [--minsup F] [--minconf F] [--top N]\n"
-      "  approx   --db FILE --index FILE [--minsup F] [--minconf F]\n"
-      "           [--top N]\n";
+struct Command {
+  const char* name;
+  const char* summary;
+  int (*run)(FlagSet& flags, int argc, char** argv);
+};
+
+constexpr Command kCommands[] = {
+    {"gen", "generate a Quest-style synthetic dataset", CmdGen},
+    {"convert", "convert between FIMI text and binary databases", CmdConvert},
+    {"build", "build a BBS index over a database", CmdBuild},
+    {"stats", "show database / index statistics", CmdStats},
+    {"mine", "mine frequent patterns", CmdMine},
+    {"count", "exact count of an itemset, optionally TID-constrained",
+     CmdCount},
+    {"client",
+     "one request to a running bbsmined or bbsrouter\n"
+     "exit 0 ok, 1 application error, 2 usage, 3 transport error, 4 "
+     "backpressure\nretries exhausted, 5 indeterminate (INSERT sent, "
+     "response timed out)",
+     CmdClient},
+    {"split", "cut a database into contiguous ranges for a bbsrouter fleet",
+     CmdSplit},
+    {"rules", "association rules from FP-growth patterns", CmdRules},
+    {"approx", "approximate mining from the index alone", CmdApprox},
+};
+
+std::string Usage() {
+  std::string text =
+      "usage: bbsmine <command> [--flag value | --flag=value ...]\n";
+  for (const Command& command : kCommands) {
+    std::string line = command.name;
+    line.resize(10, ' ');
+    std::string_view summary = command.summary;
+    text += "  " + line.append(summary.substr(0, summary.find('\n'))) + "\n";
+  }
+  return text + "'bbsmine <command> --help' lists a command's flags\n";
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    Usage();
-    return 2;
+  const std::string command = argc < 2 ? "" : argv[1];
+  if (command == "--help" || command == "-h") {
+    std::fputs(Usage().c_str(), stdout);
+    return 0;
   }
-  std::string command = argv[1];
-  Args args(argc, argv, 2);
-  if (command == "gen") return CmdGen(args);
-  if (command == "convert") return CmdConvert(args);
-  if (command == "build") return CmdBuild(args);
-  if (command == "stats") return CmdStats(args);
-  if (command == "mine") return CmdMine(args);
-  if (command == "count") return CmdCount(args);
-  if (command == "client") return CmdClient(args);
-  if (command == "split") return CmdSplit(args);
-  if (command == "rules") return CmdRules(args);
-  if (command == "approx") return CmdApprox(args);
-  Usage();
+  for (const Command& entry : kCommands) {
+    if (command == entry.name) {
+      FlagSet flags(std::string("bbsmine ") + entry.name, entry.summary);
+      return entry.run(flags, argc, argv);
+    }
+  }
+  std::fputs(Usage().c_str(), stderr);
   return 2;
 }

@@ -19,15 +19,12 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
-#include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <sys/stat.h>
 #include <thread>
-
-#include <memory>
 
 #include "core/bbs_index.h"
 #include "core/segmented_bbs.h"
@@ -37,7 +34,9 @@
 #include "service/replication.h"
 #include "service/server.h"
 #include "storage/transaction_db.h"
+#include "tool_flags.h"
 #include "util/fault_injector.h"
+#include "util/socket.h"
 
 using namespace bbsmine;
 
@@ -67,50 +66,6 @@ void CrashDumpHook() {
   }
 }
 
-/// Minimal flag parser: accepts `--flag value` and `--flag=value`;
-/// bare flags map to "true". (Mirrors the bbsmine CLI parser.)
-class Args {
- public:
-  Args(int argc, char** argv, int first) {
-    for (int i = first; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (arg.rfind("--", 0) != 0) {
-        std::cerr << "unexpected argument: " << arg << "\n";
-        std::exit(2);
-      }
-      std::string key = arg.substr(2);
-      if (size_t eq = key.find('='); eq != std::string::npos) {
-        values_[key.substr(0, eq)] = key.substr(eq + 1);
-      } else if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-        values_[key] = argv[++i];
-      } else {
-        values_[key] = "true";
-      }
-    }
-  }
-
-  std::string GetString(const std::string& key,
-                        const std::string& fallback = "") const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
-  }
-
-  uint64_t GetUint(const std::string& key, uint64_t fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::strtoull(it->second.c_str(),
-                                                          nullptr, 10);
-  }
-
-  double GetDouble(const std::string& key, double fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback
-                               : std::strtod(it->second.c_str(), nullptr);
-  }
-
- private:
-  std::map<std::string, std::string> values_;
-};
-
 [[noreturn]] void Die(const Status& status) {
   std::cerr << "bbsmined: " << status.ToString() << "\n";
   std::exit(1);
@@ -132,124 +87,110 @@ uint64_t LoadTermFile(const std::string& path) {
   return term;
 }
 
-/// Parses "host:port" for --follow.
-bool ParseHostPort(const std::string& spec, std::string* host,
-                   uint16_t* port) {
-  size_t colon = spec.rfind(':');
-  if (colon == std::string::npos || colon == 0 ||
-      colon + 1 >= spec.size()) {
-    return false;
-  }
-  unsigned long parsed = std::strtoul(spec.c_str() + colon + 1, nullptr, 10);
-  if (parsed == 0 || parsed > 65535) return false;
-  *host = spec.substr(0, colon);
-  *port = static_cast<uint16_t>(parsed);
-  return true;
-}
-
-void Usage() {
-  std::cerr <<
-      "usage: bbsmined [--flag value | --flag=value ...]\n"
-      "  --index PREFIX      saved index: a SegmentedBbs prefix (loads\n"
-      "                      PREFIX.manifest) or a monolithic .bbs file\n"
-      "                      (wrapped as one sealed segment)\n"
-      "  --db FILE           transaction database; enables MINE and keeps\n"
-      "                      INSERTed transactions for exact mining\n"
-      "  --bits N            when no --index: create empty (default 1600)\n"
-      "  --hashes N          when no --index: hashes per item (default 4)\n"
-      "  --segment-capacity N  transactions per segment (default 4096)\n"
-      "  --index-backend B   resident (default: heap slices, fully\n"
-      "                      verified at load) or mmap (serve the v2\n"
-      "                      aligned index in place: near-zero heap, pages\n"
-      "                      faulted on demand; answers are bit-identical;\n"
-      "                      incompatible with --durable-dir)\n"
-      "  --compact-cold-epochs N  with --compact-fold-bits: after each\n"
-      "                      INSERT, fold sealed segments untouched for N\n"
-      "                      publication epochs (counts become upper\n"
-      "                      bounds; default off)\n"
-      "  --compact-fold-bits M  fold target width for cold segments\n"
-      "  --host A.B.C.D      bind address (default 127.0.0.1)\n"
-      "  --port N            TCP port; 0 = ephemeral (default 7071)\n"
-      "  --threads N         per-batch worker threads (0 = hw threads)\n"
-      "  --max-pending N     admission-queue bound (default 1024)\n"
-      "  --max-batch N       requests fused per batch (default 256)\n"
-      "  --minsup F          default MINE minimum support (default 0.003)\n"
-      "  --report-out FILE   write the service report on shutdown\n"
-      "  --trace-out FILE    write a Chrome trace of sampled requests on\n"
-      "                      shutdown (load in Perfetto)\n"
-      "  --trace-sample N    trace 1-in-N requests (default 1 when\n"
-      "                      --trace-out is set, else off)\n"
-      "  --slow-log FILE     append one JSON line per slow request\n"
-      "  --slow-query-us N   slow-query threshold, microseconds (default\n"
-      "                      10000; 0 logs every request)\n"
-      "  --flight-recorder-size N  per-connection flight-ring capacity in\n"
-      "                      events (default 64; 0 disables DUMP)\n"
-      "  --flight-out FILE   write the flight-recorder dump on shutdown\n"
-      "                      and from the fault-injection crash path\n"
-      "  --stats-window-s N  windowed-metrics rotation interval, seconds\n"
-      "                      (default 10; 12 slots are retained)\n"
-      "  --durable-dir DIR   crash-safe durability: WAL + checkpoints in\n"
-      "                      DIR; recovers state from DIR on startup\n"
-      "  --fsync POLICY      WAL fsync policy: always | none | every=N\n"
-      "                      (default always)\n"
-      "  --checkpoint-every N  auto-checkpoint after N inserted\n"
-      "                      transactions; 0 = manual only (default 4096)\n"
-      "  --follow HOST:PORT  run as a warm follower of that primary: tail\n"
-      "                      its WAL over WALSTREAM, apply locally, reject\n"
-      "                      INSERT until PROMOTE (requires --durable-dir)\n"
-      "  --repl-ack          semi-sync: withhold INSERT acks until the\n"
-      "                      follower has the record (requires\n"
-      "                      --durable-dir; see docs/CLUSTER.md)\n"
-      "  --repl-ack-timeout-ms N  semi-sync ack wait before degrading the\n"
-      "                      response to replicated=false (default 1000)\n";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc > 1 && (std::strcmp(argv[1], "--help") == 0 ||
-                   std::strcmp(argv[1], "-h") == 0)) {
-    Usage();
-    return 0;
-  }
-  Args args(argc, argv, 1);
+  std::string index_arg;
+  std::string db_arg;
+  BbsConfig config;
+  uint64_t segment_capacity = 4096;
+  std::string backend_name = "resident";
+  std::string durable_dir;
+  service::DurabilityOptions durable_options;
+  std::string fsync_spec = "always";
+  std::string follow_arg;
+  service::SocketServerOptions server_options;
+  server_options.port = 7071;
+  service::ServiceOptions options;
+  options.slow_query_us = 10'000;
+  std::string report_out;
+  std::string trace_out;
+  uint64_t trace_sample = 0;
+  std::string slow_log_path;
+  uint64_t flight_size = 64;
+  std::string flight_out;
+  uint64_t stats_window_s = 10;
 
-  uint64_t segment_capacity = args.GetUint("segment-capacity", 4096);
-  if (segment_capacity == 0) {
-    std::cerr << "bbsmined: --segment-capacity must be positive\n";
-    return 2;
+  FlagSet flags("bbsmined", "the BBS query daemon (docs/SERVICE.md)");
+  flags.String("index", &index_arg,
+               "SegmentedBbs prefix or monolithic .bbs file to serve");
+  flags.String("db", &db_arg, "transaction database; enables MINE");
+  flags.Unsigned("bits", &config.num_bits, "m of an empty index (no --index)");
+  flags.Unsigned("hashes", &config.num_hashes, "k of an empty index");
+  flags.Unsigned("segment-capacity", &segment_capacity,
+                 "transactions per segment", 1);
+  AddIndexBackendFlag(&flags, &backend_name);
+  flags.Unsigned("compact-cold-epochs", &options.compaction.cold_epochs,
+                 "fold segments cold for N epochs (counts become bounds)");
+  flags.Unsigned("compact-fold-bits", &options.compaction.fold_bits,
+                 "fold width for cold segments (set with the above)");
+  AddHostPortFlags(&flags, &server_options.host, &server_options.port);
+  flags.Unsigned("threads", &options.scheduler.num_threads,
+                 "per-batch worker threads (0 = all cores)");
+  flags.Unsigned("max-pending", &options.scheduler.max_pending,
+                 "admission-queue bound");
+  flags.Unsigned("max-batch", &options.scheduler.max_batch,
+                 "requests fused per batch");
+  AddMinsupFlag(&flags, &options.default_min_support);
+  flags.String("report-out", &report_out, "service report path, at exit");
+  flags.String("trace-out", &trace_out, "Chrome trace path, at exit");
+  flags.Unsigned("trace-sample", &trace_sample,
+                 "trace 1-in-N requests (1 when --trace-out is set)");
+  flags.String("slow-log", &slow_log_path, "JSON-lines slow-query log");
+  flags.Unsigned("slow-query-us", &options.slow_query_us,
+                 "slow-query threshold, us (0 logs every request)");
+  flags.Unsigned("flight-recorder-size", &flight_size,
+                 "per-connection flight-ring events (0 disables DUMP)");
+  flags.String("flight-out", &flight_out,
+               "flight-recorder dump path, at exit and on injected crash");
+  AddStatsWindowFlag(&flags, &stats_window_s);
+  flags.String("durable-dir", &durable_dir,
+               "WAL + checkpoints here; state is recovered at startup");
+  flags.String("fsync", &fsync_spec, "WAL fsync: always | none | every=N");
+  flags.Unsigned("checkpoint-every", &durable_options.checkpoint_every,
+                 "auto-checkpoint every N inserts (0 = manual only)");
+  flags.String("follow", &follow_arg,
+               "HOST:PORT of the primary to tail as a warm replica");
+  flags.Bool("repl-ack", &options.repl_ack,
+             "semi-sync: ack an INSERT once the follower has it");
+  flags.Unsigned("repl-ack-timeout-ms", &options.repl_ack_timeout_ms,
+                 "semi-sync wait before answering replicated=false");
+  flags.ParseOrExit(argc, argv, 1);
+  if (!flags.WasSet("trace-sample") && !trace_out.empty()) trace_sample = 1;
+  // Replication needs the durable directory: the stream's positions are
+  // WAL positions.
+  if ((!follow_arg.empty() || options.repl_ack) && durable_dir.empty()) {
+    flags.UsageError("--follow and --repl-ack require --durable-dir");
   }
-
-  auto backend_flag =
-      ParseIndexBackend(args.GetString("index-backend", "resident"));
-  if (!backend_flag.ok()) {
-    std::cerr << "bbsmined: " << backend_flag.status().ToString() << "\n";
-    return 2;
+  service::ReplicationFollowerOptions follow_options;
+  if (!follow_arg.empty()) {
+    Result<Endpoint> primary = ParseEndpoint(follow_arg);
+    if (!primary.ok()) {
+      flags.UsageError("--follow: " + primary.status().message());
+    }
+    follow_options.host = primary->host;
+    follow_options.port = primary->port;
   }
-  const IndexBackend backend = *backend_flag;
+  const IndexBackend backend = *ParseIndexBackend(backend_name);
 
   // Assemble the snapshot manager from the requested source.
   std::optional<service::SnapshotManager> index;
   std::optional<TransactionDatabase> db;
   std::unique_ptr<service::DurabilityManager> durability;
-  std::string index_arg = args.GetString("index");
-  std::string durable_dir = args.GetString("durable-dir");
 
   if (backend == IndexBackend::kMmap && index_arg.empty()) {
     // An empty index has no file to map; the flag would silently serve a
     // heap-backed index while STATS claims mmap.
-    std::cerr << "bbsmined: --index-backend=mmap requires --index\n";
-    return 2;
+    flags.UsageError("--index-backend=mmap requires --index");
   }
 
   if (!durable_dir.empty()) {
     if (backend == IndexBackend::kMmap) {
       // Checkpoints rewrite the segment files the mappings would be backed
       // by, so durable mode pins the resident backend.
-      std::cerr << "bbsmined: --index-backend=mmap is incompatible with "
-                   "--durable-dir (checkpoints rewrite the mapped files); "
-                   "use the resident backend\n";
-      return 2;
+      flags.UsageError(
+          "--index-backend=mmap is incompatible with --durable-dir "
+          "(checkpoints rewrite the mapped files); use the resident backend");
     }
     // Durable mode: the durable directory is the source of truth; --index
     // and --db only seed the very first start (before any checkpoint/WAL
@@ -257,25 +198,21 @@ int main(int argc, char** argv) {
     std::optional<SegmentedBbs> bootstrap;
     if (!index_arg.empty()) {
       if (!FileExists(index_arg + ".manifest")) {
-        std::cerr << "bbsmined: with --durable-dir, --index must be a "
-                     "SegmentedBbs prefix (monolithic .bbs files are not "
-                     "supported)\n";
-        return 2;
+        flags.UsageError(
+            "with --durable-dir, --index must be a SegmentedBbs prefix "
+            "(monolithic .bbs files are not supported)");
       }
       auto segmented = SegmentedBbs::Load(index_arg);
       if (!segmented.ok()) Die(segmented.status());
       bootstrap.emplace(std::move(*segmented));
     } else {
-      BbsConfig config;
-      config.num_bits = static_cast<uint32_t>(args.GetUint("bits", 1600));
-      config.num_hashes = static_cast<uint32_t>(args.GetUint("hashes", 4));
       auto empty = SegmentedBbs::Create(config, segment_capacity);
       if (!empty.ok()) Die(empty.status());
       bootstrap.emplace(std::move(*empty));
     }
-    if (std::string path = args.GetString("db"); !path.empty()) {
-      if (FileExists(path)) {
-        auto loaded = TransactionDatabase::Load(path);
+    if (!db_arg.empty()) {
+      if (FileExists(db_arg)) {
+        auto loaded = TransactionDatabase::Load(db_arg);
         if (!loaded.ok()) Die(loaded.status());
         db.emplace(std::move(*loaded));
       } else {
@@ -285,14 +222,11 @@ int main(int argc, char** argv) {
       }
     }
 
-    service::DurabilityOptions durable_options;
     durable_options.dir = durable_dir;
-    durable_options.checkpoint_every = args.GetUint("checkpoint-every", 4096);
-    if (Status parsed = service::ParseFsyncSpec(
-            args.GetString("fsync", "always"), &durable_options.wal);
+    if (Status parsed =
+            service::ParseFsyncSpec(fsync_spec, &durable_options.wal);
         !parsed.ok()) {
-      std::cerr << "bbsmined: " << parsed.ToString() << "\n";
-      return 2;
+      flags.UsageError("--fsync: " + parsed.message());
     }
     auto opened = service::DurabilityManager::Open(
         durable_options, std::move(*bootstrap), db ? &*db : nullptr);
@@ -334,17 +268,14 @@ int main(int argc, char** argv) {
       index.emplace(std::move(*manager));
     }
   } else {
-    BbsConfig config;
-    config.num_bits = static_cast<uint32_t>(args.GetUint("bits", 1600));
-    config.num_hashes = static_cast<uint32_t>(args.GetUint("hashes", 4));
     auto manager = service::SnapshotManager::Create(config, segment_capacity);
     if (!manager.ok()) Die(manager.status());
     index.emplace(std::move(*manager));
   }
 
   if (durable_dir.empty()) {
-    if (std::string path = args.GetString("db"); !path.empty()) {
-      auto loaded = TransactionDatabase::Load(path);
+    if (!db_arg.empty()) {
+      auto loaded = TransactionDatabase::Load(db_arg);
       if (!loaded.ok()) Die(loaded.status());
       db.emplace(std::move(*loaded));
       if (db->size() != index->num_transactions()) {
@@ -358,40 +289,23 @@ int main(int argc, char** argv) {
 
   // Observability plane: tracer, slow-query log, flight recorder, window
   // shape. All off (or passive) unless their flags are given.
-  const std::string trace_out = args.GetString("trace-out");
-  uint64_t trace_sample =
-      args.GetUint("trace-sample", trace_out.empty() ? 0 : 1);
   std::unique_ptr<obs::Tracer> tracer;
   if (!trace_out.empty() && trace_sample > 0) {
     tracer = std::make_unique<obs::Tracer>(obs::kTraceService);
   }
   std::unique_ptr<service::SlowQueryLog> slow_log;
-  if (std::string path = args.GetString("slow-log"); !path.empty()) {
-    auto opened = service::SlowQueryLog::Open(path);
+  if (!slow_log_path.empty()) {
+    auto opened = service::SlowQueryLog::Open(slow_log_path);
     if (!opened.ok()) Die(opened.status());
     slow_log = std::move(*opened);
   }
-  const uint64_t flight_size = args.GetUint("flight-recorder-size", 64);
   std::unique_ptr<service::FlightRecorder> flight_recorder;
   if (flight_size > 0) {
     flight_recorder = std::make_unique<service::FlightRecorder>(flight_size);
   }
-  const std::string flight_out = args.GetString("flight-out");
-  const uint64_t stats_window_s = args.GetUint("stats-window-s", 10);
-  if (stats_window_s == 0) {
-    std::cerr << "bbsmined: --stats-window-s must be positive\n";
-    return 2;
-  }
 
   // Replication wiring (docs/CLUSTER.md): a durable daemon is a primary
-  // (serves WALSTREAM); --follow makes it a warm follower instead. Both
-  // need the durable directory — the stream's positions are WAL positions.
-  const std::string follow_arg = args.GetString("follow");
-  const bool repl_ack = args.GetString("repl-ack") == "true";
-  if ((!follow_arg.empty() || repl_ack) && durable_dir.empty()) {
-    std::cerr << "bbsmined: --follow and --repl-ack require --durable-dir\n";
-    return 2;
-  }
+  // (serves WALSTREAM); --follow makes it a warm follower instead.
   std::unique_ptr<service::ReplicationSource> replication;
   std::unique_ptr<service::ReplicationFollower> follower;
   service::BbsService* follower_target = nullptr;  // set once built
@@ -405,13 +319,6 @@ int main(int argc, char** argv) {
         source_options);
   }
   if (!follow_arg.empty()) {
-    service::ReplicationFollowerOptions follow_options;
-    if (!ParseHostPort(follow_arg, &follow_options.host,
-                       &follow_options.port)) {
-      std::cerr << "bbsmined: --follow expects HOST:PORT, got \""
-                << follow_arg << "\"\n";
-      return 2;
-    }
     follower = std::make_unique<service::ReplicationFollower>(
         follow_options,
         [&index] {
@@ -423,35 +330,22 @@ int main(int argc, char** argv) {
         });
   }
 
-  service::ServiceOptions options;
-  options.scheduler.num_threads = args.GetUint("threads", 0);
-  options.scheduler.max_pending = args.GetUint("max-pending", 1024);
-  options.scheduler.max_batch = args.GetUint("max-batch", 256);
-  options.default_min_support = args.GetDouble("minsup", 0.003);
   options.durability = durability.get();
   options.index_backend = backend;
   options.tracer = tracer.get();
   options.trace_sample = trace_sample;
   options.slow_log = slow_log.get();
-  options.slow_query_us = args.GetUint("slow-query-us", 10000);
   options.flight_recorder = flight_recorder.get();
   options.stats_windows.interval_us = stats_window_s * 1'000'000;
-  options.compaction.cold_epochs = args.GetUint("compact-cold-epochs", 0);
-  options.compaction.fold_bits =
-      static_cast<uint32_t>(args.GetUint("compact-fold-bits", 0));
-  if (options.compaction.cold_epochs != 0 ||
-      options.compaction.fold_bits != 0) {
-    if (!options.compaction.enabled()) {
-      std::cerr << "bbsmined: --compact-cold-epochs and --compact-fold-bits "
-                   "must be set together (both positive)\n";
-      return 2;
-    }
+  if ((flags.WasSet("compact-cold-epochs") ||
+       flags.WasSet("compact-fold-bits")) &&
+      !options.compaction.enabled()) {
+    flags.UsageError(
+        "--compact-cold-epochs and --compact-fold-bits must be set together "
+        "(both positive)");
   }
   options.replication = replication.get();
   options.follower = follower.get();
-  options.repl_ack = repl_ack;
-  options.repl_ack_timeout_ms =
-      static_cast<int>(args.GetUint("repl-ack-timeout-ms", 1000));
   if (!durable_dir.empty()) {
     options.term_file = durable_dir + "/term";
     options.term = LoadTermFile(options.term_file);
@@ -473,15 +367,6 @@ int main(int argc, char** argv) {
     FaultInjector::SetCrashHook(CrashDumpHook);
   }
 
-  const uint64_t port = args.GetUint("port", 7071);
-  if (port > 65535) {
-    std::cerr << "bbsmined: --port must be in [0, 65535], got " << port
-              << "\n";
-    return 2;
-  }
-  service::SocketServerOptions server_options;
-  server_options.host = args.GetString("host", "127.0.0.1");
-  server_options.port = static_cast<uint16_t>(port);
   service::SocketServer server(&bbs_service, server_options);
   if (Status started = server.Start(); !started.ok()) Die(started);
 
@@ -531,14 +416,15 @@ int main(int argc, char** argv) {
                   index->num_transactions());
     }
   }
-  if (std::string path = args.GetString("report-out"); !path.empty()) {
+  if (!report_out.empty()) {
     obs::JsonValue report = bbs_service.BuildStatsReport();
-    if (Status written = obs::WriteJsonFile(report, path); !written.ok()) {
+    if (Status written = obs::WriteJsonFile(report, report_out);
+        !written.ok()) {
       std::cerr << "bbsmined: cannot write report: " << written.ToString()
                 << "\n";
       return 1;
     }
-    std::printf("bbsmined wrote service report to %s\n", path.c_str());
+    std::printf("bbsmined wrote service report to %s\n", report_out.c_str());
   }
   if (flight_recorder != nullptr && !flight_out.empty()) {
     obs::JsonValue dump =

@@ -10,7 +10,7 @@
 //
 // Examples:
 //   bbsrouter --shards 127.0.0.1:7071,127.0.0.1:7072 --port 7070
-//   bbsrouter --shard-map cluster.shards --port 0 --hedge-ms 50
+//   bbsrouter --shard-map cluster.shards --port 0
 //
 // SIGTERM / SIGINT drain gracefully: stop accepting, finish in-flight
 // requests, write the service report (--report-out), exit 0.
@@ -19,9 +19,7 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <iostream>
-#include <map>
 #include <string>
 #include <thread>
 
@@ -29,6 +27,7 @@
 #include "cluster/shard_map.h"
 #include "obs/json.h"
 #include "service/server.h"
+#include "tool_flags.h"
 
 using namespace bbsmine;
 
@@ -38,128 +37,71 @@ std::atomic<bool> g_stop{false};
 
 void HandleSignal(int) { g_stop.store(true, std::memory_order_release); }
 
-/// Minimal flag parser: accepts `--flag value` and `--flag=value`;
-/// bare flags map to "true". (Mirrors the bbsmined parser.)
-class Args {
- public:
-  Args(int argc, char** argv, int first) {
-    for (int i = first; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (arg.rfind("--", 0) != 0) {
-        std::cerr << "unexpected argument: " << arg << "\n";
-        std::exit(2);
-      }
-      std::string key = arg.substr(2);
-      if (size_t eq = key.find('='); eq != std::string::npos) {
-        values_[key.substr(0, eq)] = key.substr(eq + 1);
-      } else if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-        values_[key] = argv[++i];
-      } else {
-        values_[key] = "true";
-      }
-    }
-  }
-
-  bool Has(const std::string& key) const { return values_.count(key) != 0; }
-
-  std::string GetString(const std::string& key,
-                        const std::string& fallback = "") const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
-  }
-
-  uint64_t GetUint(const std::string& key, uint64_t fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::strtoull(it->second.c_str(),
-                                                          nullptr, 10);
-  }
-
-  double GetDouble(const std::string& key, double fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback
-                               : std::strtod(it->second.c_str(), nullptr);
-  }
-
- private:
-  std::map<std::string, std::string> values_;
-};
-
 [[noreturn]] void Die(const Status& status) {
   std::cerr << "bbsrouter: " << status.ToString() << "\n";
   std::exit(1);
 }
 
-void Usage() {
-  std::cerr <<
-      "usage: bbsrouter (--shards LIST | --shard-map FILE) [--flag value ...]\n"
-      "  --shards H:P[/H:P],...  comma-separated shard endpoints, in\n"
-      "                      transaction-range order (shard 0 holds the\n"
-      "                      first range; INSERTs route to the last). An\n"
-      "                      optional /host:port names the shard's warm\n"
-      "                      replica (a bbsmined --follow of the primary);\n"
-      "                      the router promotes it when the primary dies\n"
-      "  --shard-map FILE    one host:port[/host:port] per line ('#'\n"
-      "                      comments); same ordering contract\n"
-      "  --host A.B.C.D      bind address (default 127.0.0.1)\n"
-      "  --port N            TCP port; 0 = ephemeral (default 7070)\n"
-      "  --fanout-deadline-ms N  per-leg downstream budget (default 5000)\n"
-      "  --hedge-ms N        re-issue an idempotent leg on a fresh\n"
-      "                      connection after N ms of silence (default 0 =\n"
-      "                      no hedging)\n"
-      "  --retries N         backpressure retries per leg (default 3)\n"
-      "  --backoff-ms N      base backpressure backoff (default 100)\n"
-      "  --max-backoff-ms N  backoff cap (default 5000)\n"
-      "  --no-prune          disable Bloofi pruning (fan out everywhere;\n"
-      "                      answers are identical, just slower)\n"
-      "  --branching N       Bloofi tree fan-in (default 4)\n"
-      "  --require-all       answer Unavailable instead of degraded when a\n"
-      "                      shard is unreachable\n"
-      "  --minsup F          default MINE minimum support (default 0.003)\n"
-      "  --mine-top N        default MINE result cap (default 10)\n"
-      "  --mine-round1-top N round-1 'top' sent to shards; must exceed any\n"
-      "                      shard's local frequent-set size (default 5e7)\n"
-      "  --mine-snapshot-retries N  extra MINE exchange passes when\n"
-      "                      concurrent INSERTs land between the rounds\n"
-      "                      (default 2; exhaustion is flagged, not fatal)\n"
-      "  --connect-retries N startup handshake attempts per shard\n"
-      "                      (default 40, spaced --connect-backoff-ms)\n"
-      "  --connect-backoff-ms N  handshake retry spacing (default 250)\n"
-      "  --probe-interval-ms N  background re-probe cadence for down\n"
-      "                      shards; drives failover and rejoin without\n"
-      "                      client traffic (default 1000; 0 disables)\n"
-      "  --probe-timeout-ms N  per-probe SHARDINFO budget (default 1000)\n"
-      "  --failover-probe-failures N  consecutive silent (timed-out)\n"
-      "                      probes of a primary before promoting its\n"
-      "                      replica; transport failures (connection\n"
-      "                      refused/reset) fail over immediately\n"
-      "                      (default 3)\n"
-      "  --report-out FILE   write the service report on shutdown\n"
-      "  --stats-window-s N  windowed-metrics rotation interval, seconds\n"
-      "                      (default 10; 12 slots are retained)\n";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc > 1 && (std::strcmp(argv[1], "--help") == 0 ||
-                   std::strcmp(argv[1], "-h") == 0)) {
-    Usage();
-    return 0;
-  }
-  Args args(argc, argv, 1);
+  std::string shards_flag;
+  std::string map_flag;
+  service::SocketServerOptions server_options;
+  server_options.port = 7070;
+  cluster::RouterOptions options;
+  options.retry.retries = 3;
+  bool no_prune = false;
+  bool require_all = false;
+  std::string report_out;
+  uint64_t stats_window_s = 10;
 
-  cluster::ShardMap map;
-  const std::string shards_flag = args.GetString("shards");
-  const std::string map_flag = args.GetString("shard-map");
+  FlagSet flags("bbsrouter",
+                "front N bbsmined shards (docs/CLUSTER.md); give exactly "
+                "one of --shards or --shard-map");
+  flags.String("shards", &shards_flag,
+               "H:P[/replica H:P],... in transaction-range order");
+  flags.String("shard-map", &map_flag, "file of H:P[/H:P] lines ('#' notes)");
+  AddHostPortFlags(&flags, &server_options.host, &server_options.port);
+  flags.Unsigned("fanout-deadline-ms", &options.fanout_deadline_ms,
+                 "per-leg downstream budget, ms");
+  AddRetryFlags(&flags, &options.retry);
+  flags.Bool("no-prune", &no_prune, "fan out everywhere (same answers)");
+  flags.Unsigned("branching", &options.branching, "Bloofi tree fan-in");
+  flags.Bool("require-all", &require_all,
+             "answer Unavailable, not degraded, when a shard is down");
+  AddMinsupFlag(&flags, &options.default_min_support);
+  flags.Unsigned("mine-top", &options.mine_top, "default MINE result cap");
+  flags.Unsigned("mine-round1-top", &options.mine_round1_top,
+                 "round-1 top; must exceed any shard's frequent-set size");
+  flags.Unsigned("mine-snapshot-retries", &options.mine_snapshot_retries,
+                 "extra MINE passes when INSERTs land between rounds");
+  flags.Unsigned("connect-retries", &options.connect_retries,
+                 "startup handshake attempts per shard");
+  flags.Unsigned("connect-backoff-ms", &options.connect_backoff_ms,
+                 "handshake retry spacing, ms");
+  flags.Unsigned("probe-interval-ms", &options.probe_interval_ms,
+                 "down-shard re-probe cadence, ms (0 disables)");
+  flags.Unsigned("probe-timeout-ms", &options.probe_timeout_ms,
+                 "per-probe SHARDINFO budget, ms");
+  flags.Unsigned("failover-probe-failures", &options.failover_probe_failures,
+                 "silent probes of a primary before its replica is promoted");
+  flags.String("report-out", &report_out, "service report path, at exit");
+  AddStatsWindowFlag(&flags, &stats_window_s);
+  flags.ParseOrExit(argc, argv, 1);
+  options.prune = !no_prune;
+  options.allow_degraded = !require_all;
+  options.stats_windows.interval_us = stats_window_s * 1'000'000;
+
   if (shards_flag.empty() == map_flag.empty()) {
-    std::cerr << "bbsrouter: exactly one of --shards or --shard-map is "
-                 "required\n";
-    Usage();
-    return 2;
+    flags.UsageError("exactly one of --shards or --shard-map is required");
   }
+  cluster::ShardMap map;
   if (!shards_flag.empty()) {
     auto parsed = cluster::ParseShardSpec(shards_flag);
-    if (!parsed.ok()) Die(parsed.status());
+    if (!parsed.ok()) {
+      flags.UsageError("--shards: " + parsed.status().message());
+    }
     map = std::move(*parsed);
   } else {
     auto loaded = cluster::LoadShardMapFile(map_flag);
@@ -167,54 +109,10 @@ int main(int argc, char** argv) {
     map = std::move(*loaded);
   }
 
-  const uint64_t stats_window_s = args.GetUint("stats-window-s", 10);
-  if (stats_window_s == 0) {
-    std::cerr << "bbsrouter: --stats-window-s must be positive\n";
-    return 2;
-  }
-
-  cluster::RouterOptions options;
-  options.retry.retries = static_cast<uint32_t>(args.GetUint("retries", 3));
-  options.retry.backoff_ms =
-      static_cast<uint32_t>(args.GetUint("backoff-ms", 100));
-  options.retry.max_backoff_ms =
-      static_cast<uint32_t>(args.GetUint("max-backoff-ms", 5000));
-  options.fanout_deadline_ms =
-      static_cast<int>(args.GetUint("fanout-deadline-ms", 5000));
-  options.hedge_ms = static_cast<int>(args.GetUint("hedge-ms", 0));
-  options.prune = !args.Has("no-prune");
-  options.branching = args.GetUint("branching", 4);
-  options.allow_degraded = !args.Has("require-all");
-  options.default_min_support = args.GetDouble("minsup", 0.003);
-  options.mine_top = args.GetUint("mine-top", 10);
-  options.mine_round1_top = args.GetUint("mine-round1-top", 50'000'000);
-  options.mine_snapshot_retries =
-      static_cast<uint32_t>(args.GetUint("mine-snapshot-retries", 2));
-  options.connect_retries =
-      static_cast<uint32_t>(args.GetUint("connect-retries", 40));
-  options.connect_backoff_ms =
-      static_cast<uint32_t>(args.GetUint("connect-backoff-ms", 250));
-  options.probe_interval_ms =
-      static_cast<uint32_t>(args.GetUint("probe-interval-ms", 1000));
-  options.probe_timeout_ms =
-      static_cast<int>(args.GetUint("probe-timeout-ms", 1000));
-  options.failover_probe_failures =
-      static_cast<uint32_t>(args.GetUint("failover-probe-failures", 3));
-  options.stats_windows.interval_us = stats_window_s * 1'000'000;
-
   const size_t num_shards = map.size();
   cluster::RouterService router(std::move(map), options);
   if (Status initialized = router.Init(); !initialized.ok()) Die(initialized);
 
-  const uint64_t port = args.GetUint("port", 7070);
-  if (port > 65535) {
-    std::cerr << "bbsrouter: --port must be in [0, 65535], got " << port
-              << "\n";
-    return 2;
-  }
-  service::SocketServerOptions server_options;
-  server_options.host = args.GetString("host", "127.0.0.1");
-  server_options.port = static_cast<uint16_t>(port);
   service::SocketServer server(&router, server_options);
   if (Status started = server.Start(); !started.ok()) Die(started);
 
@@ -238,14 +136,16 @@ int main(int argc, char** argv) {
   std::fflush(stdout);
   server.Stop();
   router.Drain();
-  if (std::string path = args.GetString("report-out"); !path.empty()) {
+  if (!report_out.empty()) {
     obs::JsonValue report = router.BuildStatsReport();
-    if (Status written = obs::WriteJsonFile(report, path); !written.ok()) {
+    if (Status written = obs::WriteJsonFile(report, report_out);
+        !written.ok()) {
       std::cerr << "bbsrouter: cannot write report: " << written.ToString()
                 << "\n";
       return 1;
     }
-    std::printf("bbsrouter wrote service report to %s\n", path.c_str());
+    std::printf("bbsrouter wrote service report to %s\n",
+                report_out.c_str());
   }
   std::printf("bbsrouter exited cleanly (%llu/%zu shards up, %llu "
               "transactions)\n",
