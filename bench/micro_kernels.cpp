@@ -5,7 +5,9 @@
 // bracketing the paper's workloads, plus the pre-kernel baseline for a
 // k-way CountItemSet: k-1 scalar pairwise AND sweeps followed by a count.
 // The headline number is the speedup of the native fused and_many_count
-// over that baseline.
+// over that baseline. A crc32 section times the load path's checksum
+// (util/crc32.h, slicing-by-8) at a block, a segment and a paper-scale index
+// file, next to the byte-at-a-time table CRC it replaced.
 //
 // Emits BENCH_kernels.json (path overridable as argv[1]) for the CI
 // artifact, alongside a human-readable table on stdout.
@@ -18,6 +20,7 @@
 
 #include "util/bitvector.h"
 #include "util/bitvector_kernels.h"
+#include "util/crc32.h"
 #include "util/rng.h"
 
 using namespace bbsmine;
@@ -63,6 +66,37 @@ double TimeNs(Fn&& fn) {
   }
   return best;
 }
+
+/// The byte-at-a-time table CRC-32 that util/crc32 used before
+/// slicing-by-8: the baseline of the crc32 section.
+uint32_t BytewiseCrc32(const uint8_t* p, size_t len) {
+  static const std::vector<uint32_t> table = [] {
+    std::vector<uint32_t> t(256);
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t crc = i;
+      for (int bit = 0; bit < 8; ++bit) {
+        crc = (crc & 1u) ? (crc >> 1) ^ 0xedb88320u : crc >> 1;
+      }
+      t[i] = crc;
+    }
+    return t;
+  }();
+  uint32_t crc = ~0u;
+  for (size_t i = 0; i < len; ++i) {
+    crc = (crc >> 8) ^ table[(crc ^ p[i]) & 0xffu];
+  }
+  return ~crc;
+}
+
+struct CrcResult {
+  size_t bytes;
+  double ns;
+  double bytewise_ns;
+  double GiBPerSec() const {
+    return static_cast<double>(bytes) / (ns * 1e-9) /
+           (1024.0 * 1024.0 * 1024.0);
+  }
+};
 
 struct OpResult {
   std::string op;
@@ -187,6 +221,28 @@ int main(int argc, char** argv) {
   std::printf("  %s and_many_count:   %12.1f ns\n", default_kernel, fused_ns);
   std::printf("  speedup: %.2fx\n", speedup);
 
+  // CRC-32 over a 4 KiB block, a 1 MiB segment and a 20 MiB file (the
+  // mine-paper index is 20 MB); every load verifies one of these.
+  std::vector<CrcResult> crc_results;
+  {
+    const size_t kCrcBytes[] = {4u << 10, 1u << 20, 20u << 20};
+    std::vector<uint8_t> data(kCrcBytes[2]);
+    for (uint8_t& b : data) b = static_cast<uint8_t>(rng.Next());
+    std::printf("\ncrc32 (slicing-by-8 vs bytewise table):\n");
+    std::printf("%10s %12s %10s %14s %8s\n", "bytes", "ns/call", "GiB/s",
+                "bytewise ns", "speedup");
+    for (size_t bytes : kCrcBytes) {
+      CrcResult r{bytes,
+                  TimeNs([&] { g_sink = g_sink + Crc32(data.data(), bytes); }),
+                  TimeNs([&] {
+                    g_sink = g_sink + BytewiseCrc32(data.data(), bytes);
+                  })};
+      std::printf("%10zu %12.1f %10.2f %14.1f %7.2fx\n", r.bytes, r.ns,
+                  r.GiBPerSec(), r.bytewise_ns, r.bytewise_ns / r.ns);
+      crc_results.push_back(r);
+    }
+  }
+
   FILE* json = std::fopen(json_path, "w");
   if (json == nullptr) {
     std::fprintf(stderr, "cannot open %s for writing\n", json_path);
@@ -213,9 +269,22 @@ int main(int argc, char** argv) {
   std::fprintf(json,
                "  \"and_many_vs_scalar_pairwise\": {\"k\": %zu, \"bits\": "
                "%zu, \"scalar_pairwise_ns\": %.1f, \"fused_kernel\": \"%s\", "
-               "\"fused_ns\": %.1f, \"speedup\": %.2f}\n",
+               "\"fused_ns\": %.1f, \"speedup\": %.2f},\n",
                kManyK, big_bits, pairwise_ns, default_kernel, fused_ns,
                speedup);
+  std::fprintf(json,
+               "  \"crc32\": {\"impl\": \"slicing-by-8\", \"results\": [\n");
+  for (size_t i = 0; i < crc_results.size(); ++i) {
+    const CrcResult& row = crc_results[i];
+    std::fprintf(json,
+                 "    {\"bytes\": %zu, \"ns_per_call\": %.1f, "
+                 "\"gib_per_s\": %.2f, \"bytewise_ns_per_call\": %.1f, "
+                 "\"speedup\": %.2f}%s\n",
+                 row.bytes, row.ns, row.GiBPerSec(), row.bytewise_ns,
+                 row.bytewise_ns / row.ns,
+                 i + 1 < crc_results.size() ? "," : "");
+  }
+  std::fprintf(json, "  ]}\n");
   std::fprintf(json, "}\n");
   std::fclose(json);
   std::printf("\nwrote %s\n", json_path);

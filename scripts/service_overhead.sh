@@ -31,11 +31,23 @@ BBSBENCH="$BUILD_DIR/tools/bbsbench"
 WORK="$(mktemp -d)"
 PIDS=()
 
+# Kills and reaps every daemon, then fails the run if any is still alive.
 cleanup() {
+  local status=$?
   for pid in "${PIDS[@]:-}"; do
     [[ -n "$pid" ]] && kill -KILL "$pid" 2>/dev/null || true
   done
+  for pid in "${PIDS[@]:-}"; do
+    [[ -n "$pid" ]] && wait "$pid" 2>/dev/null || true
+  done
+  for pid in "${PIDS[@]:-}"; do
+    if [[ -n "$pid" ]] && kill -0 "$pid" 2>/dev/null; then
+      echo "bbsmined pid $pid survived cleanup" >&2
+      status=1
+    fi
+  done
   rm -rf "$WORK"
+  exit "$status"
 }
 trap cleanup EXIT
 
@@ -45,30 +57,36 @@ echo "== generating dataset and segmented index"
 "$BBSMINE" build --db "$WORK/bench.db" --out "$WORK/bench.seg" \
   --bits 800 --hashes 3 --segment-capacity 512 >/dev/null
 
+# Runs in this shell, not in a $(...) subshell, so the PID reaches PIDS and
+# the EXIT trap can stop the daemon. Sets DAEMON_PORT.
 start_daemon() {  # $1 = log file, $2... = extra flags
   local log=$1; shift
   "$BBSMINED" --index "$WORK/bench.seg" --db "$WORK/bench.db" --port 0 \
     "$@" > "$log" 2>&1 &
   local pid=$!
   PIDS+=("$pid")
-  local port=""
+  DAEMON_PORT=""
   for _ in $(seq 1 50); do
-    port=$(sed -n 's/^bbsmined listening on [0-9.]*:\([0-9]*\).*/\1/p' \
-      "$log" | head -1)
-    [[ -n "$port" ]] && break
+    DAEMON_PORT=$(sed -n \
+      's/^bbsmined listening on [0-9.]*:\([0-9]*\).*/\1/p' "$log" | head -1)
+    [[ -n "$DAEMON_PORT" ]] && break
     kill -0 "$pid" || { cat "$log" >&2; exit 1; }
     sleep 0.2
   done
-  [[ -n "$port" ]] || { echo "daemon never reported its port" >&2; exit 1; }
-  echo "$port"
+  [[ -n "$DAEMON_PORT" ]] || {
+    echo "daemon never reported its port" >&2
+    exit 1
+  }
 }
 
 echo "== starting bare and plane-armed daemons"
-PORT_OFF=$(start_daemon "$WORK/off.log")
-PORT_ON=$(start_daemon "$WORK/on.log" \
+start_daemon "$WORK/off.log"
+PORT_OFF=$DAEMON_PORT
+start_daemon "$WORK/on.log" \
   --trace-out "$WORK/on-trace.json" --trace-sample 997 \
   --slow-log "$WORK/on-slow.jsonl" --slow-query-us 10000 \
-  --flight-recorder-size 64)
+  --flight-recorder-size 64
+PORT_ON=$DAEMON_PORT
 echo "   bare on port $PORT_OFF, armed on port $PORT_ON"
 
 count_p50() {  # $1 = port, $2 = out json, $3 = seed

@@ -511,9 +511,8 @@ BbsIndex BbsIndex::Materialize() const {
   out.item_counts_ = item_counts_;
   out.signature_bits_ = signature_bits_;
   ResidentSliceSource* res = out.source_->AsResident();
-  const size_t wps = WordsPerSlice();
   for (uint32_t pos = 0; pos < num_bits(); ++pos) {
-    res->slice(pos).AssignWords(SliceWords(pos), wps, num_transactions_);
+    res->slice(pos).AssignWords(SliceWords(pos), num_transactions_);
   }
   return out;
 }
@@ -644,17 +643,14 @@ Result<BbsIndex> BbsIndex::Deserialize(std::string_view file,
     index.item_counts_ = std::move(item_counts);
 
     ResidentSliceSource* res = index.source_->AsResident();
-    const size_t wps = header.words_per_slice;
-    std::vector<Word> slice_words(wps);
     for (uint32_t pos = 0; pos < index.num_bits(); ++pos) {
-      // memcpy: the slice bytes are 64-byte aligned in the *file*, but the
-      // in-memory string buffer carries no such guarantee.
-      std::memcpy(slice_words.data(),
-                  file.data() + header.data_offset +
-                      static_cast<uint64_t>(pos) * header.stride_bytes,
-                  wps * sizeof(Word));
+      // The slice bytes are 64-byte aligned in the *file*, but the
+      // in-memory buffer carries no such guarantee; AssignWords copies
+      // from any alignment.
       BitVector& slice = res->slice(pos);
-      slice.AssignWords(slice_words.data(), wps, header.num_transactions);
+      slice.AssignWords(file.data() + header.data_offset +
+                            static_cast<uint64_t>(pos) * header.stride_bytes,
+                        header.num_transactions);
       // The stored popcounts are what query planning trusts — cross-check
       // them against the actual slice data (load parity fix-up).
       if (slice.Count() != popcounts[pos]) {

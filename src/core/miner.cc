@@ -313,7 +313,10 @@ MiningResult MineFrequentPatterns(const TransactionDatabase& db,
   uint64_t cache_blocks =
       resident ? db_blocks
                : std::max<uint64_t>(1, (budget / 4) / config.block_size);
-  PageCache cache(std::min(cache_blocks, db_blocks));
+  // Probes address the file in the database's own blocks; the pool runs
+  // lock-free when it covers all of them.
+  PageCache cache(std::min(cache_blocks, db_blocks),
+                  BlocksFor(db.SerializedBytes(), db.block_size()));
 
   RunContext ctx{db,  bbs,    filter_index, config,
                  tau, &cache, num_threads,  &result};

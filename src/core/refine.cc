@@ -166,8 +166,7 @@ bool ProbeOne(const TransactionDatabase& db, const Itemset& items,
     // loading the file once; probe-heavy access then costs one sequential
     // sweep, not a seek per block. With a smaller pool, re-misses are
     // genuine seeks.
-    bool pool_covers_db =
-        cache->capacity() >= BlocksFor(db.SerializedBytes(), block_size);
+    bool pool_covers_db = cache->whole_file();
     uint64_t first_block = index.BlockOf(position, block_size);
     uint64_t span = index.BlockSpan(position, block_size);
     for (uint64_t b = 0; b < span; ++b) {

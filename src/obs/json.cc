@@ -323,8 +323,18 @@ class Parser {
     SkipWhitespace();
     if (pos_ >= text_.size()) return Error("unexpected end of input");
     char c = text_[pos_];
-    if (c == '{') return ParseObject(out);
-    if (c == '[') return ParseArray(out);
+    if (c == '{' || c == '[') {
+      if (depth_ == JsonValue::kMaxParseDepth) {
+        return Status::Corruption(
+            "json: nesting deeper than " +
+            std::to_string(JsonValue::kMaxParseDepth) + " at offset " +
+            std::to_string(pos_));
+      }
+      ++depth_;
+      Status st = c == '{' ? ParseObject(out) : ParseArray(out);
+      --depth_;
+      return st;
+    }
     if (c == '"') return ParseString(out);
     if (ConsumeLiteral("null")) {
       *out = JsonValue::Null();
@@ -485,6 +495,7 @@ class Parser {
 
   const std::string& text_;
   size_t pos_ = 0;
+  int depth_ = 0;  // arrays and objects currently open
 };
 
 }  // namespace

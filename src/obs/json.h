@@ -78,7 +78,13 @@ class JsonValue {
   /// per level; 0 emits a compact single line.
   std::string Serialize(int indent = 2) const;
 
-  /// Parses a complete JSON document (trailing whitespace allowed).
+  /// Deepest array/object nesting Parse accepts. The parser recurses once
+  /// per level, so the cap bounds its stack use on any input.
+  static constexpr int kMaxParseDepth = 256;
+
+  /// Parses a complete JSON document (trailing whitespace allowed). Input
+  /// nested deeper than kMaxParseDepth is rejected as Corruption; any other
+  /// malformed input as InvalidArgument.
   static Result<JsonValue> Parse(const std::string& text);
 
  private:

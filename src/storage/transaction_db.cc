@@ -1,9 +1,7 @@
 #include "storage/transaction_db.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
-#include <memory>
 
 #include "util/crc32.h"
 #include "util/file_io.h"
@@ -125,20 +123,9 @@ Status TransactionDatabase::Save(const std::string& path) const {
 
 Result<TransactionDatabase> TransactionDatabase::Load(
     const std::string& path) {
-  std::unique_ptr<std::FILE, int (*)(std::FILE*)> fp(
-      std::fopen(path.c_str(), "rb"), &std::fclose);
-  if (fp == nullptr) {
-    return StatusFromErrno("cannot open for reading: " + path);
-  }
-  std::string file;
-  char buf[1 << 16];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), fp.get())) > 0) {
-    file.append(buf, n);
-  }
-  if (std::ferror(fp.get())) {
-    return Status::IoError("read error: " + path);
-  }
+  Result<std::string> contents = ReadBinaryFile(path);
+  if (!contents.ok()) return contents.status();
+  const std::string& file = *contents;
 
   if (file.size() < sizeof(kMagic) + 8 ||
       std::memcmp(file.data(), kMagic, sizeof(kMagic)) != 0) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 
 #include "util/bitvector_kernels.h"
 
@@ -27,11 +28,11 @@ void BitVector::Resize(size_t size) {
   MaskTail();
 }
 
-void BitVector::AssignWords(const Word* words, size_t num_words, size_t size) {
-  size_t needed = (size + kWordBits - 1) / kWordBits;
-  assert(num_words >= needed);
-  (void)num_words;
-  words_.assign(words, words + needed);
+void BitVector::AssignWords(const void* words, size_t size) {
+  words_.resize((size + kWordBits - 1) / kWordBits);
+  if (!words_.empty()) {
+    std::memcpy(words_.data(), words, words_.size() * sizeof(Word));
+  }
   size_ = size;
   MaskTail();
 }

@@ -78,12 +78,13 @@ class BitVector {
   /// Grows (or shrinks) to `size` bits; new bits are zero.
   void Resize(size_t size);
 
-  /// Replaces the contents with `size` bits copied word-wise from `words`
-  /// (bit i lives at words[i / 64] >> (i % 64), the same layout words()
-  /// exposes). `num_words` must be at least ceil(size / 64); excess words
-  /// and bits past `size` in the last word are ignored. O(words), the bulk
-  /// counterpart of building the vector one Set() at a time.
-  void AssignWords(const Word* words, size_t num_words, size_t size);
+  /// Replaces the contents with `size` bits copied word-wise from the
+  /// ceil(size / 64) words at `words` (bit i lives at words[i / 64] >>
+  /// (i % 64), the same layout words() exposes); bits past `size` in the
+  /// last word are ignored. The words may sit at any alignment, such as a
+  /// slice inside a file read into memory, and are copied once. O(words),
+  /// the bulk counterpart of building the vector one Set() at a time.
+  void AssignWords(const void* words, size_t size);
 
   /// Sets every bit to zero without changing the size.
   void Clear();

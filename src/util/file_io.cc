@@ -6,7 +6,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdio>
 
 #include "util/fault_injector.h"
 
@@ -127,21 +126,39 @@ Status WriteBinaryFile(const std::string& path, std::string_view data,
 }
 
 Result<std::string> ReadBinaryFile(const std::string& path) {
-  std::FILE* fp = std::fopen(path.c_str(), "rb");
-  if (fp == nullptr) {
+  int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
     return StatusFromErrno("cannot open for reading: " + path);
   }
+  // A regular file's size is known up front, so the buffer is sized once
+  // and filled in place. The chunked loop after it reads pipes and special
+  // files, and whatever was appended after the fstat.
   std::string data;
-  char buf[1 << 16];
-  size_t n;
-  errno = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), fp)) > 0) {
-    data.append(buf, n);
+  struct stat st;
+  if (::fstat(fd, &st) == 0 && S_ISREG(st.st_mode)) {
+    data.resize(static_cast<size_t>(st.st_size));
   }
-  bool read_error = std::ferror(fp) != 0;
+  auto read_some = [&](char* buf, size_t len) {
+    ssize_t n;
+    do {
+      n = ::read(fd, buf, len);
+    } while (n < 0 && errno == EINTR);
+    return n;
+  };
+  size_t done = 0;
+  ssize_t n = 0;
+  while (done < data.size() &&
+         (n = read_some(data.data() + done, data.size() - done)) > 0) {
+    done += static_cast<size_t>(n);
+  }
+  data.resize(done);
+  char buf[1 << 16];
+  while (n >= 0 && (n = read_some(buf, sizeof(buf))) > 0) {
+    data.append(buf, static_cast<size_t>(n));
+  }
   int read_errno = errno;
-  std::fclose(fp);
-  if (read_error) {
+  ::close(fd);
+  if (n < 0) {
     return StatusFromErrno(read_errno, "read error: " + path);
   }
   return data;

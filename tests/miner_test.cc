@@ -182,6 +182,34 @@ TEST(MinerTest, StatsAreCoherent) {
   EXPECT_GE(result.FalseDropRatio(), 0.0);
 }
 
+TEST(MinerTest, ResidentProbeSchemesAreThreadCountInvariant) {
+  // Enough transactions to spread the file over dozens of blocks, so the
+  // probes of concurrent workers race for first touches. The resident pool
+  // covers the file, so the hit and miss totals cannot depend on the
+  // schedule: they, the I/O charges and the patterns match at 1 and 4
+  // threads.
+  TransactionDatabase db = testing::RandomDb(41, 3000, 60, 8.0);
+  ASSERT_GT(BlocksFor(db.SerializedBytes(), db.block_size()), 16u);
+  BbsIndex bbs = MakeBbs(db, 96, 2);
+  for (Algorithm algorithm : {Algorithm::kSFP, Algorithm::kDFP}) {
+    MineConfig config;
+    config.algorithm = algorithm;
+    config.min_support = 0.02;
+    config.num_threads = 1;
+    MiningResult serial = MineFrequentPatterns(db, bbs, config);
+    config.num_threads = 4;
+    MiningResult parallel = MineFrequentPatterns(db, bbs, config);
+    SCOPED_TRACE(AlgorithmName(algorithm));
+    ASSERT_GT(serial.stats.cache_misses, 0u);
+    EXPECT_EQ(parallel.patterns, serial.patterns);
+    EXPECT_EQ(parallel.stats.cache_hits, serial.stats.cache_hits);
+    EXPECT_EQ(parallel.stats.cache_misses, serial.stats.cache_misses);
+    EXPECT_EQ(parallel.stats.io.sequential_reads,
+              serial.stats.io.sequential_reads);
+    EXPECT_EQ(parallel.stats.io.random_reads, serial.stats.io.random_reads);
+  }
+}
+
 TEST(MinerTest, EmptyDatabase) {
   TransactionDatabase db;
   BbsIndex bbs = MakeBbs(db, 64, 2);

@@ -90,6 +90,37 @@ TEST(JsonTest, ParseRejectsMalformedDocuments) {
   }
 }
 
+TEST(JsonTest, ParseBoundsNestingDepth) {
+  const int cap = JsonValue::kMaxParseDepth;
+  auto arrays = [](int depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  // Exactly at the cap: accepted, arrays and objects alike.
+  auto deepest = JsonValue::Parse(arrays(cap));
+  ASSERT_TRUE(deepest.ok()) << deepest.status().ToString();
+  std::string objects;
+  for (int i = 0; i < cap; ++i) objects += "{\"k\":";
+  objects += "1" + std::string(cap, '}');
+  EXPECT_TRUE(JsonValue::Parse(objects).ok());
+  // The depth counter unwinds: siblings that each reach the cap are legal.
+  std::string siblings = arrays(cap - 1) + "," + arrays(cap - 1);
+  EXPECT_TRUE(JsonValue::Parse(siblings.insert(0, 1, '[') + "]").ok());
+
+  // One level past it, mixed nesting, and a 200 000-deep run of '[' (which
+  // once overflowed the stack): all Corruption, never a crash.
+  const std::string too_deep[] = {
+      arrays(cap + 1),
+      std::string("{\"a\":") + arrays(cap) + "}",
+      std::string(200'000, '['),
+  };
+  for (const std::string& bad : too_deep) {
+    auto result = JsonValue::Parse(bad);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kCorruption)
+        << result.status().ToString();
+  }
+}
+
 TEST(JsonTest, FileRoundTrip) {
   std::string path = TempPath("bbsmine_obs_json_roundtrip.json");
   JsonValue doc = JsonValue::Object();

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <thread>
+#include <vector>
+
+#include "util/rng.h"
+
 namespace bbsmine {
 namespace {
 
@@ -90,6 +96,109 @@ TEST(PageCacheTest, ClearDropsResidency) {
   cache.Clear();
   EXPECT_EQ(cache.resident_blocks(), 0u);
   EXPECT_FALSE(cache.Access(1, false, &io));
+}
+
+TEST(PageCacheTest, WholeFileModeNeedsCapacityForEveryBlock) {
+  EXPECT_TRUE(PageCache(8, 8).whole_file());
+  EXPECT_TRUE(PageCache(9, 8).whole_file());
+  EXPECT_FALSE(PageCache(7, 8).whole_file());
+  EXPECT_FALSE(PageCache(8).whole_file()) << "unknown file size runs LRU";
+}
+
+/// Drives the same access sequence through a whole-file cache and an LRU
+/// cache of equal capacity; every outcome and counter must agree.
+void ExpectWholeFileMatchesLru(uint64_t file_blocks,
+                               const std::vector<uint64_t>& blocks,
+                               const std::vector<bool>& sequential) {
+  PageCache whole(file_blocks, file_blocks);
+  PageCache lru(file_blocks);
+  ASSERT_TRUE(whole.whole_file());
+  ASSERT_FALSE(lru.whole_file());
+  IoStats whole_io, lru_io;
+  for (size_t i = 0; i < blocks.size(); ++i) {
+    ASSERT_EQ(whole.Access(blocks[i], sequential[i], &whole_io),
+              lru.Access(blocks[i], sequential[i], &lru_io))
+        << "access " << i << " to block " << blocks[i];
+  }
+  EXPECT_EQ(whole.hits(), lru.hits());
+  EXPECT_EQ(whole.misses(), lru.misses());
+  EXPECT_EQ(whole.resident_blocks(), lru.resident_blocks());
+  EXPECT_EQ(whole_io.sequential_reads, lru_io.sequential_reads);
+  EXPECT_EQ(whole_io.random_reads, lru_io.random_reads);
+}
+
+TEST(PageCacheTest, WholeFileModeMatchesLruOnScriptedSequence) {
+  ExpectWholeFileMatchesLru(
+      4, {0, 1, 0, 3, 3, 2, 1, 0, 2, 3},
+      {false, true, false, false, true, true, false, true, false, false});
+}
+
+TEST(PageCacheTest, WholeFileModeMatchesLruOnRandomSequences) {
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    uint64_t file_blocks = 1 + rng.Uniform(200);
+    std::vector<uint64_t> blocks(500);
+    std::vector<bool> sequential(blocks.size());
+    for (size_t i = 0; i < blocks.size(); ++i) {
+      blocks[i] = rng.Uniform(file_blocks);
+      sequential[i] = rng.Uniform(2) == 0;
+    }
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    ExpectWholeFileMatchesLru(file_blocks, blocks, sequential);
+  }
+}
+
+TEST(PageCacheTest, WholeFileModeBlocksPastTheFileAlwaysMiss) {
+  PageCache cache(4, 4);
+  IoStats io;
+  EXPECT_FALSE(cache.Access(4, false, &io));
+  EXPECT_FALSE(cache.Access(4, false, &io));
+  EXPECT_EQ(io.random_reads, 2u);
+  EXPECT_EQ(cache.resident_blocks(), 0u);
+}
+
+TEST(PageCacheTest, WholeFileModeHammerMissesEachBlockOnce) {
+  // Four threads touch every block of the file in their own random orders.
+  // However the touches interleave, each block misses exactly once.
+  constexpr uint64_t kBlocks = 1000;
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 20;
+  PageCache cache(kBlocks, kBlocks);
+  std::vector<IoStats> io(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(100 + t);
+      for (int round = 0; round < kRounds; ++round) {
+        for (uint64_t i = 0; i < kBlocks; ++i) {
+          cache.Access(rng.Uniform(kBlocks), /*sequential=*/true, &io[t]);
+        }
+        for (uint64_t b = 0; b < kBlocks; ++b) {
+          cache.Access(b, /*sequential=*/true, &io[t]);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  uint64_t reads = 0;
+  for (const IoStats& stats : io) reads += stats.sequential_reads;
+  PageCache::Counters counters = cache.counters();
+  EXPECT_EQ(counters.misses, kBlocks);
+  EXPECT_EQ(counters.accesses(), uint64_t{kThreads} * kRounds * 2 * kBlocks);
+  EXPECT_EQ(reads, kBlocks) << "each block is charged once";
+  EXPECT_EQ(cache.resident_blocks(), kBlocks);
+}
+
+TEST(PageCacheTest, WholeFileModeClearResetsResidency) {
+  PageCache cache(130, 130);  // spans three bitmap words
+  IoStats io;
+  for (uint64_t b : {0, 64, 129}) cache.Access(b, false, &io);
+  EXPECT_EQ(cache.resident_blocks(), 3u);
+  cache.Clear();
+  EXPECT_EQ(cache.resident_blocks(), 0u);
+  EXPECT_FALSE(cache.Access(129, false, &io)) << "cleared blocks miss again";
+  EXPECT_EQ(cache.misses(), 4u) << "Clear keeps the counters";
+  EXPECT_EQ(cache.resident_blocks(), 1u);
 }
 
 }  // namespace

@@ -99,7 +99,7 @@ TEST(ProbeCountTest, PageCacheSuppressesRepeatCharges) {
   });
   // All four tiny records share one 4096-byte block.
   BitVector result(4, true);
-  PageCache cache(8);
+  PageCache cache(8, BlocksFor(db.SerializedBytes(), db.block_size()));
   MineStats stats;
   ProbeCount(db, {1}, result, &cache, &stats);
   // The pool covers the whole (one-block) file, so the single first-touch

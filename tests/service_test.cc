@@ -488,6 +488,47 @@ TEST(SocketServerTest, ServesConcurrentClientsBitIdentically) {
   }
 }
 
+TEST(SocketServerTest, DeeplyNestedFrameIsCorruptionAndServerKeepsServing) {
+  Fixture fx = MakeFixture(25, 100, 64);
+  auto manager = SnapshotManager::FromIndex(fx.index);
+  ASSERT_TRUE(manager.ok());
+  BbsService service(&*manager, &fx.db, ServiceOptions{});
+  SocketServerOptions options;
+  options.poll_interval_ms = 50;
+  SocketServer server(&service, options);
+  Status started = server.Start();
+  if (!started.ok()) {
+    GTEST_SKIP() << "cannot bind a loopback socket here: "
+                 << started.ToString();
+  }
+
+  // One well-framed 200 KB payload of '[': valid framing, hostile nesting.
+  const uint32_t length = 200'000;
+  std::string frame;
+  for (int i = 0; i < 4; ++i) frame += static_cast<char>(length >> (8 * i));
+  frame += std::string(length, '[');
+  {
+    auto fd = ConnectTcp("127.0.0.1", server.port());
+    ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+    ASSERT_TRUE(SendAll(fd->get(), frame).ok());
+    auto reply = ReadFrame(fd->get(), /*timeout_ms=*/10'000);
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    EXPECT_FALSE(reply->at("ok").AsBool());
+    EXPECT_EQ(reply->at("error").at("code").AsString(),
+              StatusCodeName(StatusCode::kCorruption));
+  }
+
+  Itemset query{2, 7};
+  auto fd = ConnectTcp("127.0.0.1", server.port());
+  ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+  ASSERT_TRUE(WriteFrame(fd->get(), CountRequest(query)).ok());
+  auto response = ReadFrame(fd->get(), /*timeout_ms=*/10'000);
+  server.Stop();
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  ASSERT_TRUE(response->at("ok").AsBool());
+  EXPECT_EQ(response->at("count").AsUint(), fx.index.CountItemSet(query));
+}
+
 // ---------------------------------------------------------------------------
 // Client retry: behavior against a saturated scheduler, a healthy daemon,
 // and a dead endpoint. Backoffs are shrunk to keep the test fast; jitter is

@@ -3,10 +3,20 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <cmath>
+#include <cstdio>
+#include <filesystem>
 #include <sstream>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "util/crc32.h"
+#include "util/file_io.h"
 #include "util/iomodel.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -86,6 +96,103 @@ TEST(Crc32Test, DetectsBitFlip) {
   std::string b = a;
   b[5] ^= 0x01;
   EXPECT_NE(Crc32(a), Crc32(b));
+}
+
+// Bit-at-a-time CRC-32 straight from the polynomial; shares no table with
+// the implementation under test.
+uint32_t ReferenceCrc32(const uint8_t* p, size_t len, uint32_t seed) {
+  uint32_t crc = ~seed;
+  for (size_t i = 0; i < len; ++i) {
+    crc ^= p[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1u) ? (crc >> 1) ^ 0xedb88320u : crc >> 1;
+    }
+  }
+  return ~crc;
+}
+
+std::vector<uint8_t> RandomBytes(uint64_t seed, size_t n) {
+  Rng rng(seed);
+  std::vector<uint8_t> bytes(n);
+  for (uint8_t& b : bytes) b = static_cast<uint8_t>(rng.Next());
+  return bytes;
+}
+
+TEST(Crc32Test, MatchesBytewiseReferenceAtEveryLengthAndOffset) {
+  // Every length through several 8-byte strides plus every tail, at every
+  // start offset modulo 8, so each head/stride/tail split is covered.
+  std::vector<uint8_t> buf = RandomBytes(7, 1031 + 8);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 1031; ++len) {
+      ASSERT_EQ(Crc32(buf.data() + offset, len),
+                ReferenceCrc32(buf.data() + offset, len, 0))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(Crc32Test, ChainedSeedsMatchReference) {
+  std::vector<uint8_t> buf = RandomBytes(8, 4099);
+  for (uint32_t seed : {0u, 1u, 0xcbf43926u, 0xffffffffu}) {
+    for (size_t split : {0, 1, 7, 8, 9, 63, 64, 1000, 4098, 4099}) {
+      uint32_t head = Crc32(buf.data(), split, seed);
+      EXPECT_EQ(head, ReferenceCrc32(buf.data(), split, seed));
+      EXPECT_EQ(Crc32(buf.data() + split, buf.size() - split, head),
+                ReferenceCrc32(buf.data(), buf.size(), seed))
+          << "seed " << seed << " split " << split;
+    }
+  }
+}
+
+// --- ReadBinaryFile ------------------------------------------------------------
+
+TEST(ReadBinaryFileTest, ReadsRegularFileWhole) {
+  std::string path =
+      (std::filesystem::temp_directory_path() / "bbsmine_read_regular.bin")
+          .string();
+  std::vector<uint8_t> bytes = RandomBytes(9, 300'001);
+  std::string data(bytes.begin(), bytes.end());
+  ASSERT_TRUE(WriteBinaryFile(path, data).ok());
+  Result<std::string> read = ReadBinaryFile(path);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(*read, data);
+  std::remove(path.c_str());
+}
+
+TEST(ReadBinaryFileTest, ReadsFifoInFull) {
+  // A FIFO has no size to presize from; the chunked path must read until
+  // the writer closes. 300 KB exceeds the pipe buffer, so the writer blocks
+  // and the reader sees many partial reads.
+  std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("bbsmine_read_fifo." + std::to_string(::getpid())))
+          .string();
+  std::remove(path.c_str());
+  ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0);
+  std::vector<uint8_t> bytes = RandomBytes(10, 300'001);
+  std::string data(bytes.begin(), bytes.end());
+  std::thread writer([&] {
+    int fd = ::open(path.c_str(), O_WRONLY | O_CLOEXEC);
+    if (fd < 0) return;
+    size_t done = 0;
+    while (done < data.size()) {
+      ssize_t n = ::write(fd, data.data() + done, data.size() - done);
+      if (n <= 0) break;
+      done += static_cast<size_t>(n);
+    }
+    ::close(fd);
+  });
+  Result<std::string> read = ReadBinaryFile(path);
+  writer.join();
+  std::remove(path.c_str());
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(*read, data);
+}
+
+TEST(ReadBinaryFileTest, MissingFileIsIoError) {
+  Result<std::string> read = ReadBinaryFile("/nonexistent-dir/none.bin");
+  ASSERT_FALSE(read.ok());
+  EXPECT_EQ(read.status().code(), StatusCode::kIoError);
 }
 
 // --- Rng ----------------------------------------------------------------------
