@@ -10,7 +10,8 @@
 //                        is implementation vintage).
 
 //   A5  vertical representations — BBS (lossy bit-slices + refinement) vs
-//                        Eclat (exact tid-lists): time and index footprint.
+//                        Eclat (exact bit vectors of the frequent items):
+//                        time and footprint.
 
 #include <iostream>
 
@@ -106,28 +107,39 @@ int main(int argc, char** argv) {
     table.Print(std::cout);
   }
 
-  // --- A5: lossy bit-slices vs exact tid-lists ---------------------------------
+  // --- A5: lossy bit-slices vs exact vertical ----------------------------------
   {
     ResultTable table("Ablation A5: BBS (DFP) vs exact vertical (Eclat)");
-    table.SetHeader({"approach", "wall_ms", "patterns", "index_bytes"});
+    table.SetHeader(
+        {"approach", "wall_ms", "patterns", "index_bytes", "scan_peak_bytes"});
     SchemeResult dfp = RunBbsScheme(db, bbs, Algorithm::kDFP, min_support);
     table.AddRow({"BBS m=1600 + DFP",
                   ResultTable::Num(dfp.wall_seconds * 1e3, 1),
                   ResultTable::Int(static_cast<long long>(dfp.patterns)),
                   ResultTable::Int(static_cast<long long>(
-                      bbs.SerializedBytes()))});
+                      bbs.SerializedBytes())),
+                  "-"});
     EclatConfig eclat_config;
     eclat_config.min_support = min_support;
-    SchemeResult eclat = Summarize("eclat", MineEclat(db, eclat_config));
-    // Tid-list footprint = 4 bytes per (item, transaction) occurrence.
-    uint64_t vertical_bytes = 0;
-    for (size_t t = 0; t < db.size(); ++t) {
-      vertical_bytes += 4 * db.At(t).items.size();
+    MiningResult mined = MineEclat(db, eclat_config);
+    // The walk holds one exact bit vector per frequent item (8 bytes per
+    // 64 transactions); the single scan before it briefly holds a position
+    // list per distinct item, 4 bytes per (item, transaction) occurrence.
+    uint64_t frequent_items = 0;
+    for (const Pattern& p : mined.patterns) {
+      if (p.items.size() == 1) ++frequent_items;
     }
-    table.AddRow({"Eclat tid-lists",
+    uint64_t vector_bytes = frequent_items * 8 * ((db.size() + 63) / 64);
+    uint64_t list_bytes = 0;
+    for (size_t t = 0; t < db.size(); ++t) {
+      list_bytes += 4 * db.At(t).items.size();
+    }
+    SchemeResult eclat = Summarize("eclat", mined);
+    table.AddRow({"Eclat bit vectors",
                   ResultTable::Num(eclat.wall_seconds * 1e3, 1),
                   ResultTable::Int(static_cast<long long>(eclat.patterns)),
-                  ResultTable::Int(static_cast<long long>(vertical_bytes))});
+                  ResultTable::Int(static_cast<long long>(vector_bytes)),
+                  ResultTable::Int(static_cast<long long>(list_bytes))});
     table.Print(std::cout);
   }
 

@@ -742,12 +742,8 @@ std::vector<RouterService::ShardReply> RouterService::FanOut(
 
 std::vector<uint32_t> RouterService::QueryPositions(const Itemset& items) {
   std::vector<uint32_t> positions;
-  {
-    std::lock_guard<std::mutex> lock(hash_mu_);
-    for (ItemId item : items) {
-      const std::vector<uint32_t>& p = hash_->Positions(item);
-      positions.insert(positions.end(), p.begin(), p.end());
-    }
+  for (ItemId item : items) {
+    for (uint32_t p : hash_->Positions(item)) positions.push_back(p);
   }
   std::sort(positions.begin(), positions.end());
   positions.erase(std::unique(positions.begin(), positions.end()),

@@ -333,7 +333,6 @@ class RouterService : public service::RequestHandler {
   BbsConfig config_;
   bool mine_enabled_ = false;
   std::unique_ptr<BloomHashFamily> hash_;
-  mutable std::mutex hash_mu_;
 
   BloofiTree tree_;
   mutable std::shared_mutex tree_mu_;

@@ -1,6 +1,6 @@
 #include "core/bloom_hash.h"
 
-#include <cassert>
+#include <algorithm>
 
 #include "util/md5.h"
 
@@ -18,19 +18,63 @@ Result<BloomHashFamily> BloomHashFamily::Create(uint32_t num_bits,
   return BloomHashFamily(num_bits, num_hashes, kind, seed);
 }
 
-const std::vector<uint32_t>& BloomHashFamily::Positions(ItemId item) const {
-  if (item >= cache_.size()) {
-    size_t new_size = std::max<size_t>(static_cast<size_t>(item) + 1,
-                                       cache_.size() * 2);
-    cache_.resize(new_size);
-    cache_valid_.resize(new_size, false);
+BloomHashFamily::Table::Table(size_t capacity, uint32_t num_hashes)
+    : capacity(capacity),
+      ready(new std::atomic<bool>[capacity]),
+      positions(new uint32_t[capacity * num_hashes]) {
+  for (size_t i = 0; i < capacity; ++i) {
+    ready[i].store(false, std::memory_order_relaxed);
   }
-  if (!cache_valid_[item]) {
-    ComputePositions(item, &cache_[item]);
-    cache_valid_[item] = true;
-    ++cache_filled_;
+}
+
+BloomHashFamily::ItemPositions BloomHashFamily::Positions(ItemId item) const {
+  const size_t max_items = kMemoPositions / num_hashes_;
+  if (item >= max_items) {
+    std::vector<uint32_t> own;
+    ComputePositions(item, &own);
+    return ItemPositions(std::move(own));
   }
-  return cache_[item];
+  const Table* table = memo_->current.load(std::memory_order_acquire);
+  if (table == nullptr || item >= table->capacity ||
+      !table->ready[item].load(std::memory_order_acquire)) {
+    table = &FillMemo(item);
+  }
+  return ItemPositions(std::span<const uint32_t>(
+      table->positions.get() + size_t{item} * num_hashes_, num_hashes_));
+}
+
+const BloomHashFamily::Table& BloomHashFamily::FillMemo(ItemId item) const {
+  std::lock_guard<std::mutex> lock(memo_->mu);
+  const Table* table = memo_->current.load(std::memory_order_relaxed);
+  if (table == nullptr || item >= table->capacity) {
+    // Grow a copy (doubling, within the cap) and publish it; readers of
+    // the old table keep reading entries that never change again.
+    size_t old_capacity = table == nullptr ? 0 : table->capacity;
+    size_t capacity = std::min(
+        kMemoPositions / num_hashes_,
+        std::max({size_t{item} + 1, 2 * old_capacity, size_t{64}}));
+    auto grown = std::make_unique<Table>(capacity, num_hashes_);
+    if (table != nullptr) {
+      std::copy_n(table->positions.get(), old_capacity * num_hashes_,
+                  grown->positions.get());
+      for (size_t i = 0; i < old_capacity; ++i) {
+        grown->ready[i].store(table->ready[i].load(std::memory_order_relaxed),
+                              std::memory_order_relaxed);
+      }
+    }
+    table = grown.get();
+    memo_->tables.push_back(std::move(grown));
+    memo_->current.store(table, std::memory_order_release);
+  }
+  if (!table->ready[item].load(std::memory_order_relaxed)) {
+    std::vector<uint32_t> computed;
+    ComputePositions(item, &computed);
+    std::copy(computed.begin(), computed.end(),
+              table->positions.get() + size_t{item} * num_hashes_);
+    table->ready[item].store(true, std::memory_order_release);
+    memo_->filled.fetch_add(1, std::memory_order_relaxed);
+  }
+  return *table;
 }
 
 void BloomHashFamily::ComputePositions(ItemId item,

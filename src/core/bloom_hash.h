@@ -13,7 +13,12 @@
 #ifndef BBSMINE_CORE_BLOOM_HASH_H_
 #define BBSMINE_CORE_BLOOM_HASH_H_
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <memory>
+#include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -25,10 +30,43 @@ namespace bbsmine {
 
 /// A family of `num_hashes` hash functions h_j : ItemId -> [0, num_bits).
 ///
-/// Not thread-safe: the position cache is grown lazily on first use of each
-/// item.
+/// Thread-safe. The position memo is a table indexed by item id, published
+/// through an atomic pointer: a warm lookup is two acquire loads and takes
+/// no lock, while a first use fills its entry, and an id past the table
+/// grows a copy of it, under a mutex. Retired tables stay alive, so a view
+/// never dangles. The table stops growing at kMemoPositions positions; ids
+/// past that are hashed on every call. Copies of a family share one memo.
 class BloomHashFamily {
  public:
+  /// The memo holds at most this many positions (4 MiB), that is
+  /// kMemoPositions / num_hashes items.
+  static constexpr size_t kMemoPositions = size_t{1} << 20;
+
+  /// The positions of one item: a view of the memo, or, for an item past
+  /// it, a copy of its own. Move-only so that the view can never outlive
+  /// the copy.
+  class ItemPositions {
+   public:
+    explicit ItemPositions(std::span<const uint32_t> memo) : view_(memo) {}
+    explicit ItemPositions(std::vector<uint32_t> own)
+        : own_(std::move(own)), view_(own_) {}
+    ItemPositions(ItemPositions&&) = default;
+    ItemPositions& operator=(ItemPositions&&) = default;
+
+    const uint32_t* begin() const { return view_.data(); }
+    const uint32_t* end() const { return view_.data() + view_.size(); }
+    size_t size() const { return view_.size(); }
+    std::vector<uint32_t> ToVector() const { return {begin(), end()}; }
+
+    friend bool operator==(const ItemPositions& a, const ItemPositions& b) {
+      return std::equal(a.begin(), a.end(), b.begin(), b.end());
+    }
+
+   private:
+    std::vector<uint32_t> own_;  // empty for a memo view
+    std::span<const uint32_t> view_;
+  };
+
   /// Validates the parameters and constructs the family.
   /// Fails if num_bits == 0 or num_hashes == 0.
   static Result<BloomHashFamily> Create(uint32_t num_bits, uint32_t num_hashes,
@@ -40,21 +78,43 @@ class BloomHashFamily {
   uint64_t seed() const { return seed_; }
 
   /// The `num_hashes` positions of `item`, each in [0, num_bits).
-  /// The returned reference is stable until the next call for a new item.
-  const std::vector<uint32_t>& Positions(ItemId item) const;
+  ItemPositions Positions(ItemId item) const;
 
   /// Number of items with memoized positions (diagnostics).
-  size_t cached_items() const { return cache_filled_; }
+  size_t cached_items() const {
+    return memo_->filled.load(std::memory_order_relaxed);
+  }
 
  private:
+  /// One published memo table: positions of items [0, capacity), entry i
+  /// valid once ready[i] is set (release, after its positions are written).
+  struct Table {
+    explicit Table(size_t capacity, uint32_t num_hashes);
+    size_t capacity;
+    std::unique_ptr<std::atomic<bool>[]> ready;
+    std::unique_ptr<uint32_t[]> positions;  // capacity * num_hashes
+  };
+
+  struct Memo {
+    std::atomic<const Table*> current{nullptr};
+    std::atomic<size_t> filled{0};
+    std::mutex mu;  // serializes fills and growth
+    std::vector<std::unique_ptr<Table>> tables;  // every table published
+  };
+
   BloomHashFamily(uint32_t num_bits, uint32_t num_hashes, HashKind kind,
                   uint64_t seed)
       : num_bits_(num_bits),
         num_hashes_(num_hashes),
         kind_(kind),
-        seed_(seed) {}
+        seed_(seed),
+        memo_(std::make_shared<Memo>()) {}
 
-  /// Computes positions without consulting the cache.
+  /// Fills (and first grows the table to hold) `item`'s memo entry, under
+  /// memo_->mu, and returns the table that holds it.
+  const Table& FillMemo(ItemId item) const;
+
+  /// Computes positions without consulting the memo.
   void ComputePositions(ItemId item, std::vector<uint32_t>* out) const;
   void ComputeMd5Positions(const std::string& name,
                            std::vector<uint32_t>* out) const;
@@ -65,11 +125,7 @@ class BloomHashFamily {
   uint32_t num_hashes_;
   HashKind kind_;
   uint64_t seed_;
-
-  // cache_[item] holds the positions once cache_valid_[item] is true.
-  mutable std::vector<std::vector<uint32_t>> cache_;
-  mutable std::vector<bool> cache_valid_;
-  mutable size_t cache_filled_ = 0;
+  std::shared_ptr<Memo> memo_;
 };
 
 }  // namespace bbsmine

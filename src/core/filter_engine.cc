@@ -8,9 +8,8 @@ void FilterEngine::Prepare(const Itemset& universe, MineStats* stats,
                            bool rare_first) {
   obs::TraceSpan span(tracer_, obs::kTracePhase, "filter.prepare");
   // Below this count the walk's transaction sets switch to the sparse
-  // representation; one word of the dense vector covers 64 transactions.
-  sparse_threshold_ =
-      std::max<size_t>(64, bbs_.num_transactions() / BitVector::kWordBits);
+  // representation.
+  sparse_threshold_ = TidSet::SparseThreshold(bbs_.num_transactions());
   singletons_.clear();
   Itemset single(1);
   BitVector vector;

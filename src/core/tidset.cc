@@ -48,9 +48,12 @@ size_t TidSet::AssignIntersection(const TidSet& parent, const BitVector& with,
     return count_;
   }
 
-  // Dense path: one fused assign-AND-count kernel pass (no copy first).
+  // Dense path: one fused assign-AND-count kernel pass (no copy first). A
+  // rejected result stays dense: nobody reads it, so it is not converted.
   count_ = dense_.AssignAndCount(parent.dense_, with);
-  if (count_ <= sparse_threshold) {
+  if (count_ < min_count) {
+    sparse_ = false;
+  } else if (count_ <= sparse_threshold) {
     sparse_ = true;
     tids_.clear();
     tids_.reserve(count_);

@@ -2,7 +2,8 @@
 //
 // The filter walk carries, for each enumeration node, the set of
 // transactions whose signatures cover the node's itemset (the CountItemSet
-// result vector). Near the root these sets are large and a bit vector (one
+// result vector); exact Eclat carries the set of transactions that contain
+// it. Near the root these sets are large and a bit vector (one
 // bit per transaction) with word-parallel AND is ideal; deeper in the walk
 // the sets shrink toward the support threshold and a sorted position list
 // intersected by bit probes is an order of magnitude cheaper. TidSet
@@ -12,6 +13,7 @@
 #ifndef BBSMINE_CORE_TIDSET_H_
 #define BBSMINE_CORE_TIDSET_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -23,6 +25,13 @@ namespace bbsmine {
 class TidSet {
  public:
   TidSet() = default;
+
+  /// The default sparsity switch for a universe of `n` transactions: one
+  /// word of the dense vector covers 64 of them, so a set of at most n / 64
+  /// positions (but at least 64) is cheaper as a list.
+  static size_t SparseThreshold(size_t n) {
+    return std::max<size_t>(64, n / BitVector::kWordBits);
+  }
 
   /// A dense set holding every position in [0, n).
   static TidSet AllOf(size_t n);

@@ -397,13 +397,19 @@ obs::JsonValue BbsService::HandleMine(const obs::JsonValue& request) {
     mined_over = db_->size();
     result = MineEclat(*db_, config);
   }
-  std::sort(result.patterns.begin(), result.patterns.end(),
-            [](const Pattern& a, const Pattern& b) {
-              if (a.support != b.support) return a.support > b.support;
-              return a.items < b.items;
-            });
+  // Support descending, then items ascending: a total order, so only the
+  // first `top` need sorting.
   size_t total_frequent = result.patterns.size();
-  if (result.patterns.size() > top) result.patterns.resize(top);
+  size_t kept = std::min(top, total_frequent);
+  std::partial_sort(result.patterns.begin(), result.patterns.begin() + kept,
+                    result.patterns.end(),
+                    [](const Pattern& a, const Pattern& b) {
+                      if (a.support != b.support) {
+                        return a.support > b.support;
+                      }
+                      return a.items < b.items;
+                    });
+  result.patterns.resize(kept);
   obs::JsonValue patterns = obs::JsonValue::Array();
   for (const Pattern& pattern : result.patterns) {
     obs::JsonValue entry = obs::JsonValue::Object();

@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -203,6 +204,36 @@ INSTANTIATE_TEST_SUITE_P(
                        // 0 = memory-resident; 20000 bytes forces the folded
                        // MemBBS + adaptive three-phase variant.
                        ::testing::Values(0ull, 20'000ull)));
+
+// The folded (budget-constrained) run re-estimates on the full index from
+// several threads at once. On a loaded index no item's hash positions have
+// been computed yet (building one computes them all), so the threads meet
+// them first, concurrently. Each run loads its own copy so no earlier run
+// warms the position memo.
+TEST(ParallelMiningTest, FoldedSfpOnColdIndexMatchesSerial) {
+  TransactionDatabase db = testing::RandomDb(31, 600, 200, 8.0);
+  const std::string image = MakeBbs(db, 512, 3).Serialize();
+  MineConfig config;
+  config.algorithm = Algorithm::kSFP;
+  config.min_support = 0.01;
+  config.memory_budget_bytes = 20'000;
+
+  config.num_threads = 4;
+  auto cold = BbsIndex::Deserialize(image, "cold");
+  ASSERT_TRUE(cold.ok());
+  MiningResult parallel = MineFrequentPatterns(db, *cold, config);
+
+  config.num_threads = 1;
+  auto fresh = BbsIndex::Deserialize(image, "fresh");
+  ASSERT_TRUE(fresh.ok());
+  MiningResult serial = MineFrequentPatterns(db, *fresh, config);
+  EXPECT_EQ(parallel.patterns, serial.patterns);
+
+  uint64_t tau = AbsoluteThreshold(config.min_support, db.size());
+  serial.SortPatterns();
+  EXPECT_EQ(testing::ItemsetsOf(serial.patterns),
+            testing::ItemsetsOf(testing::BruteForceMine(db, tau)));
+}
 
 TEST(ParallelMiningTest, AutoThreadCountAlsoMatchesSerial) {
   TransactionDatabase db = testing::RandomDb(29, 300, 30, 5.0);

@@ -19,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "baseline/eclat.h"
 #include "core/segmented_bbs.h"
 #include "service/client.h"
 #include "service/metrics.h"
@@ -402,6 +403,52 @@ TEST(BbsServiceTest, HandlesEveryVerb) {
   EXPECT_EQ(service.Handle(obs::JsonValue::Null()).at("error")
                 .at("code").AsString(),
             "InvalidArgument");
+}
+
+// Six items tie at one support, straddling top = 4: the answer must be the
+// prefix of the full (support desc, items asc) order, and total_frequent
+// still counts every frequent pattern.
+TEST(BbsServiceTest, MineTopKeepsTheFullSortPrefixAcrossTies) {
+  Fixture fx{TransactionDatabase(),
+             SegmentedBbs::Create(SmallConfig(), 64).value()};
+  for (ItemId t = 0; t < 120; ++t) {
+    Itemset items = {static_cast<ItemId>(10 + t % 6)};  // 20 each
+    if (t % 2 == 0) items.push_back(3);                   // 60
+    fx.db.Append(items);
+  }
+  ASSERT_TRUE(fx.index.InsertAll(fx.db).ok());
+  auto manager = SnapshotManager::FromIndex(fx.index);
+  ASSERT_TRUE(manager.ok());
+  BbsService service(&*manager, &fx.db, ServiceOptions{});
+
+  EclatConfig config;
+  config.min_support = 0.1;
+  std::vector<Pattern> full = MineEclat(fx.db, config).patterns;
+  std::sort(full.begin(), full.end(), [](const Pattern& a, const Pattern& b) {
+    if (a.support != b.support) return a.support > b.support;
+    return a.items < b.items;
+  });
+  ASSERT_GT(full.size(), 4u);
+  ASSERT_EQ(full[1].support, full[4].support);  // a tie across the cut
+
+  obs::JsonValue mine = obs::JsonValue::Object();
+  mine.Set("verb", obs::JsonValue::String("MINE"));
+  mine.Set("minsup", obs::JsonValue::Double(config.min_support));
+  mine.Set("top", obs::JsonValue::Uint(4));
+  obs::JsonValue mined = service.Handle(mine);
+  ASSERT_TRUE(mined.at("ok").AsBool()) << mined.Serialize(0);
+  EXPECT_EQ(mined.at("total_frequent").AsUint(), full.size());
+  const obs::JsonValue& patterns = mined.at("patterns");
+  ASSERT_EQ(patterns.size(), 4u);
+  for (size_t i = 0; i < 4; ++i) {
+    Itemset items;
+    const obs::JsonValue& entry = patterns.at(i);
+    for (size_t j = 0; j < entry.at("items").size(); ++j) {
+      items.push_back(static_cast<ItemId>(entry.at("items").at(j).AsUint()));
+    }
+    EXPECT_EQ(items, full[i].items) << "rank " << i;
+    EXPECT_EQ(entry.at("support").AsUint(), full[i].support);
+  }
 }
 
 TEST(BbsServiceTest, MineWithoutDatabaseFails) {
