@@ -71,8 +71,9 @@ double TimeBatchNs(Fn&& fn, size_t num_threads, uint64_t batch) {
 /// Compares two workloads' per-call wall time and returns the median of
 /// the per-rep B/A ratios (plus representative per-call times).
 ///
-/// Handle() is µs-scale and dominated by the scheduler's thread handoff,
-/// whose cost drifts with CPU frequency and thread placement over a run.
+/// Handle() is µs-scale and dominated by the scheduler's batch fan-out
+/// onto pool threads, whose cost drifts with CPU frequency and thread
+/// placement over a run.
 /// Sequential A-then-B timing (the micro_bbs idiom) drowns a percent-
 /// level delta in that drift; here each rep times an A batch and a B
 /// batch back to back, so the pair shares its drift and the ratio
@@ -148,8 +149,8 @@ int main(int argc, char** argv) {
   BbsConfig config;
   // Wide vectors over many segments: each COUNT streams enough slice
   // words that Handle's cost is dominated by deterministic index work
-  // (as production requests are), not by the futex handoff whose jitter
-  // would otherwise drown a percent-level overhead.
+  // (as production requests are), not by the futex wake-ups of the pool
+  // fan-out, whose jitter would otherwise drown a percent-level overhead.
   config.num_bits = 16384;
   config.num_hashes = 4;
   auto index = SegmentedBbs::Create(config, /*segment_capacity=*/1024);

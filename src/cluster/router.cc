@@ -3,12 +3,13 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <numeric>
+#include <functional>
 #include <thread>
 #include <utility>
 
 #include "core/mining_types.h"
 #include "service/wire.h"
+#include "util/stopwatch.h"
 
 namespace bbsmine::cluster {
 
@@ -20,11 +21,28 @@ using service::ItemsFromJson;
 using service::ItemsToJson;
 using service::OkResponse;
 
-uint64_t MicrosSince(std::chrono::steady_clock::time_point since) {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - since)
-          .count());
+/// {"verb": verb}, the request of a verb that takes no arguments.
+JsonValue VerbRequest(const std::string& verb) {
+  JsonValue request = JsonValue::Object();
+  request.Set("verb", JsonValue::String(verb));
+  return request;
+}
+
+/// True when a direct shard call got an object reply with "ok": true.
+bool Succeeded(const Result<JsonValue>& response) {
+  return response.ok() && response->kind() == JsonValue::Kind::kObject &&
+         response->Has("ok") && response->at("ok").AsBool();
+}
+
+/// Runs leg(k) for every k in [0, n), one thread per leg (inline when
+/// n == 1), and returns when all are done. The only place the router
+/// spawns per-shard leg threads: legs block on sockets, so a fixed pool
+/// would queue them behind each other.
+void ForEachLeg(size_t n, const std::function<void(size_t)>& leg) {
+  if (n == 1) return leg(0);
+  std::vector<std::jthread> threads;  // joined on scope exit
+  threads.reserve(n);
+  for (size_t k = 0; k < n; ++k) threads.emplace_back(leg, k);
 }
 
 std::string VerbOf(const JsonValue& request) {
@@ -76,14 +94,20 @@ Result<BbsConfig> ConfigFromShardInfo(const JsonValue& info) {
     return Status::InvalidArgument("SHARDINFO response lacks \"config\"");
   }
   const JsonValue& c = info.at("config");
-  BbsConfig config;
-  config.num_bits = static_cast<uint32_t>(UintField(c, "bits"));
-  config.num_hashes = static_cast<uint32_t>(UintField(c, "hashes"));
-  config.hash_kind = static_cast<HashKind>(UintField(c, "hash_kind"));
-  config.seed = UintField(c, "seed");
-  if (config.num_bits == 0 || config.num_hashes == 0) {
-    return Status::InvalidArgument("SHARDINFO config is malformed");
+  const uint64_t bits = UintField(c, "bits");
+  const uint64_t hashes = UintField(c, "hashes");
+  const uint64_t hash_kind = UintField(c, "hash_kind");
+  if (bits == 0 || hashes == 0 || bits > UINT32_MAX || hashes > UINT32_MAX ||
+      hash_kind > static_cast<uint64_t>(HashKind::kModulo)) {
+    return Status::InvalidArgument(
+        "SHARDINFO config is malformed (zero or 32-bit-overflowing "
+        "bits/hashes, or an unknown hash kind)");
   }
+  BbsConfig config;
+  config.num_bits = static_cast<uint32_t>(bits);
+  config.num_hashes = static_cast<uint32_t>(hashes);
+  config.hash_kind = static_cast<HashKind>(hash_kind);
+  config.seed = UintField(c, "seed");
   return config;
 }
 
@@ -130,6 +154,7 @@ RouterService::RouterService(ShardMap map, const RouterOptions& options)
   for (const ShardEntry& entry : map_.shards) {
     auto shard = std::make_unique<ShardState>();
     shard->entry = entry;
+    all_shards_.push_back(shards_.size());
     shards_.push_back(std::move(shard));
   }
 }
@@ -144,42 +169,33 @@ Status RouterService::Init() {
   if (shards_.empty()) {
     return Status::InvalidArgument("shard map is empty");
   }
-  JsonValue request = JsonValue::Object();
-  request.Set("verb", JsonValue::String("SHARDINFO"));
+  const JsonValue request = VerbRequest("SHARDINFO");
 
   // Handshake every shard in parallel, with patience — in a fresh cluster
   // the shards and the router race to their listen sockets.
   std::vector<JsonValue> infos(shards_.size());
   std::vector<char> reachable(shards_.size(), 0);
-  std::vector<std::thread> threads;
-  threads.reserve(shards_.size());
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    threads.emplace_back([this, i, &infos, &reachable, &request] {
-      ShardState& shard = *shards_[i];
-      for (uint32_t attempt = 0; attempt <= options_.connect_retries;
-           ++attempt) {
-        if (attempt > 0) {
-          std::this_thread::sleep_for(
-              std::chrono::milliseconds(options_.connect_backoff_ms));
-        }
-        Result<service::ClientSession> session = service::ClientSession::Connect(
-            shard.entry.primary.host, shard.entry.primary.port);
-        if (!session.ok()) continue;
-        Result<JsonValue> response =
-            session->Call(request, options_.fanout_deadline_ms);
-        if (!response.ok() || response->kind() != JsonValue::Kind::kObject ||
-            !response->Has("ok") || !response->at("ok").AsBool()) {
-          continue;
-        }
-        infos[i] = std::move(*response);
-        reachable[i] = 1;
-        std::lock_guard<std::mutex> lock(shard.pool_mu);
-        shard.idle.push_back(std::move(*session));
-        return;
+  ForEachLeg(shards_.size(), [&](size_t i) {
+    ShardState& shard = *shards_[i];
+    for (uint32_t attempt = 0; attempt <= options_.connect_retries;
+         ++attempt) {
+      if (attempt > 0) {
+        std::this_thread::sleep_for(
+            std::chrono::milliseconds(options_.connect_backoff_ms));
       }
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
+      Result<service::ClientSession> session = service::ClientSession::Connect(
+          shard.entry.primary.host, shard.entry.primary.port);
+      if (!session.ok()) continue;
+      Result<JsonValue> response =
+          session->Call(request, options_.fanout_deadline_ms);
+      if (!Succeeded(response)) continue;
+      infos[i] = std::move(*response);
+      reachable[i] = 1;
+      std::lock_guard<std::mutex> lock(shard.pool_mu);
+      shard.idle.push_back(std::move(*session));
+      return;
+    }
+  });
 
   // Config identity: pruning and INSERT leaf updates hash queries with the
   // shards' own hash family, so every shard must agree on it.
@@ -215,24 +231,14 @@ Status RouterService::Init() {
 
   // Leaves: real signatures for reachable shards; all-ones (never pruned,
   // so never wrongly skipped) for shards that stayed dark.
-  std::vector<BitVector> leaves;
-  leaves.reserve(shards_.size());
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    if (reachable[i]) {
-      Result<BitVector> signature = service::BitsFromHex(
-          infos[i].at("signature").AsString(), config_.num_bits);
-      if (!signature.ok()) return signature.status();
-      leaves.push_back(std::move(*signature));
-    } else {
-      leaves.push_back(BitVector(config_.num_bits, true));
-    }
-  }
-  {
-    std::unique_lock<std::shared_mutex> lock(tree_mu_);
-    tree_ = BloofiTree::Build(std::move(leaves), options_.branching);
-  }
+  std::vector<BitVector> leaves(shards_.size(),
+                                BitVector(config_.num_bits, true));
   for (size_t i = 0; i < shards_.size(); ++i) {
     if (!reachable[i]) continue;
+    Result<BitVector> signature = service::BitsFromHex(
+        infos[i].at("signature").AsString(), config_.num_bits);
+    if (!signature.ok()) return signature.status();
+    leaves[i] = std::move(*signature);
     ShardState& shard = *shards_[i];
     shard.up.store(true, std::memory_order_relaxed);
     shard.transactions.store(UintField(infos[i], "transactions"),
@@ -242,6 +248,10 @@ Status RouterService::Init() {
     // The shard's fencing term starts at whatever its primary reported
     // (pre-replication daemons omit the field; 0 fences nothing).
     shard.term.store(UintField(infos[i], "term"), std::memory_order_relaxed);
+  }
+  {
+    std::unique_lock<std::shared_mutex> lock(tree_mu_);
+    tree_ = BloofiTree::Build(std::move(leaves), options_.branching);
   }
   if (options_.probe_interval_ms > 0) {
     prober_ = std::thread(&RouterService::ProbeLoop, this);
@@ -486,15 +496,27 @@ void RouterService::NoteShardSuccess(size_t idx, const obs::JsonValue& response,
 }
 
 void RouterService::RefreshShard(size_t idx) {
-  JsonValue request = JsonValue::Object();
-  request.Set("verb", JsonValue::String("SHARDINFO"));
   // Sample the leaf version BEFORE the fetch: any INSERT leaf update not
   // counted here was acked by the shard before the request below was even
   // sent, so the signature it answers with already contains those bits.
   const uint64_t version_before =
       shards_[idx]->leaf_version.load(std::memory_order_acquire);
-  ShardReply reply = CallShard(idx, request);
+  ShardReply reply = CallShard(idx, VerbRequest("SHARDINFO"));
   if (!reply.has_response || !reply.response.at("ok").AsBool()) return;
+  // A shard that came back hashing differently (or with a malformed
+  // config) has a signature this tree cannot read: it is reported down,
+  // and its leaf goes all-ones so it is never wrongly pruned.
+  Result<BbsConfig> config = ConfigFromShardInfo(reply.response);
+  if (!config.ok() || !SameHashConfig(config_, *config)) {
+    std::fprintf(stderr,
+                 "bbsrouter: shard %zu reports a malformed or mismatched "
+                 "index config; leaving it down\n",
+                 idx);
+    shards_[idx]->up.store(false, std::memory_order_relaxed);
+    std::unique_lock<std::shared_mutex> lock(tree_mu_);
+    tree_.SetLeaf(idx, BitVector(config_.num_bits, true));
+    return;
+  }
   Result<BitVector> signature = service::BitsFromHex(
       reply.response.at("signature").AsString(), config_.num_bits);
   if (!signature.ok()) return;
@@ -541,12 +563,9 @@ bool RouterService::TryFailover(size_t idx) {
   {
     service::ClientSession confirm(shard.entry.primary.host,
                                    shard.entry.primary.port);
-    JsonValue confirm_request = JsonValue::Object();
-    confirm_request.Set("verb", JsonValue::String("SHARDINFO"));
     Result<JsonValue> alive =
-        confirm.Call(confirm_request, options_.probe_timeout_ms);
-    if (alive.ok() && alive->kind() == JsonValue::Kind::kObject &&
-        alive->Has("ok") && alive->at("ok").AsBool() &&
+        confirm.Call(VerbRequest("SHARDINFO"), options_.probe_timeout_ms);
+    if (Succeeded(alive) &&
         UintField(*alive, "term") >=
             shard.term.load(std::memory_order_relaxed)) {
       lock.unlock();
@@ -561,13 +580,9 @@ bool RouterService::TryFailover(size_t idx) {
   Result<service::ClientSession> session =
       service::ClientSession::Connect(replica.host, replica.port);
   if (!session.ok()) return false;
-  JsonValue info_request = JsonValue::Object();
-  info_request.Set("verb", JsonValue::String("SHARDINFO"));
-  Result<JsonValue> info = session->Call(info_request, options_.probe_timeout_ms);
-  if (!info.ok() || info->kind() != JsonValue::Kind::kObject ||
-      !info->Has("ok") || !info->at("ok").AsBool()) {
-    return false;
-  }
+  Result<JsonValue> info =
+      session->Call(VerbRequest("SHARDINFO"), options_.probe_timeout_ms);
+  if (!Succeeded(info)) return false;
   // Never promote a replica of the wrong fleet: config identity is the
   // same invariant Init enforces for primaries.
   Result<BbsConfig> config = ConfigFromShardInfo(*info);
@@ -586,13 +601,9 @@ bool RouterService::TryFailover(size_t idx) {
       std::max(shard.term.load(std::memory_order_relaxed),
                UintField(*info, "term")) +
       1;
-  JsonValue promote_request = JsonValue::Object();
-  promote_request.Set("verb", JsonValue::String("PROMOTE"));
+  JsonValue promote_request = VerbRequest("PROMOTE");
   promote_request.Set("term", JsonValue::Uint(new_term));
-  Result<JsonValue> promoted =
-      session->Call(promote_request, options_.probe_timeout_ms);
-  if (!promoted.ok() || promoted->kind() != JsonValue::Kind::kObject ||
-      !promoted->Has("ok") || !promoted->at("ok").AsBool()) {
+  if (!Succeeded(session->Call(promote_request, options_.probe_timeout_ms))) {
     return false;
   }
 
@@ -668,12 +679,10 @@ void RouterService::ProbeLoop() {
 bool RouterService::ProbeShard(size_t idx) {
   ShardState& shard = *shards_[idx];
   const Endpoint endpoint = ActiveEndpoint(shard);
-  JsonValue request = JsonValue::Object();
-  request.Set("verb", JsonValue::String("SHARDINFO"));
   service::ClientSession session(endpoint.host, endpoint.port);
-  Result<JsonValue> response = session.Call(request, options_.probe_timeout_ms);
-  if (!response.ok() || response->kind() != JsonValue::Kind::kObject ||
-      !response->Has("ok") || !response->at("ok").AsBool()) {
+  Result<JsonValue> response =
+      session.Call(VerbRequest("SHARDINFO"), options_.probe_timeout_ms);
+  if (!Succeeded(response)) {
     // The active endpoint failed its health check: it is down for
     // routing/STATS purposes even when no replica exists to promote —
     // a replica-less shard that dies with no client traffic must not
@@ -722,20 +731,18 @@ bool RouterService::ProbeShard(size_t idx) {
 
 std::vector<RouterService::ShardReply> RouterService::FanOut(
     const std::vector<size_t>& targets, const obs::JsonValue& request) {
+  return FanOut(targets,
+                std::vector<const JsonValue*>(targets.size(), &request));
+}
+
+std::vector<RouterService::ShardReply> RouterService::FanOut(
+    const std::vector<size_t>& targets,
+    const std::vector<const obs::JsonValue*>& requests) {
   const auto begin = std::chrono::steady_clock::now();
   std::vector<ShardReply> replies(shards_.size());
-  if (targets.size() == 1) {
-    replies[targets.front()] = CallShard(targets.front(), request);
-  } else if (!targets.empty()) {
-    std::vector<std::thread> threads;
-    threads.reserve(targets.size());
-    for (size_t idx : targets) {
-      threads.emplace_back([this, idx, &replies, &request] {
-        replies[idx] = CallShard(idx, request);
-      });
-    }
-    for (std::thread& thread : threads) thread.join();
-  }
+  ForEachLeg(targets.size(), [&](size_t k) {
+    replies[targets[k]] = CallShard(targets[k], *requests[k]);
+  });
   metrics_.ObserveLog2(metrics_.fanout_latency, MicrosSince(begin));
   return replies;
 }
@@ -753,11 +760,7 @@ std::vector<uint32_t> RouterService::QueryPositions(const Itemset& items) {
 
 std::vector<size_t> RouterService::MatchShards(
     const std::vector<uint32_t>& positions) {
-  if (!options_.prune) {
-    std::vector<size_t> all(shards_.size());
-    std::iota(all.begin(), all.end(), size_t{0});
-    return all;
-  }
+  if (!options_.prune) return all_shards_;
   std::vector<size_t> matched;
   {
     std::shared_lock<std::shared_mutex> lock(tree_mu_);
@@ -766,15 +769,11 @@ std::vector<size_t> RouterService::MatchShards(
   if (matched.size() < shards_.size()) {
     const uint64_t pruned = shards_.size() - matched.size();
     metrics_.Inc(metrics_.pruned_shard_queries, pruned);
-    // Per-shard attribution: walk the complement of the (sorted) match
-    // list.
-    size_t next = 0;
+    // Per-shard attribution: the complement of the (sorted) match list.
     for (size_t i = 0; i < shards_.size(); ++i) {
-      if (next < matched.size() && matched[next] == i) {
-        ++next;
-        continue;
+      if (!std::binary_search(matched.begin(), matched.end(), i)) {
+        shards_[i]->pruned.fetch_add(1, std::memory_order_relaxed);
       }
-      shards_[i]->pruned.fetch_add(1, std::memory_order_relaxed);
     }
   }
   return matched;
@@ -797,11 +796,7 @@ void RouterService::FinishClusterResponse(obs::JsonValue* response,
 }
 
 obs::JsonValue RouterService::HandlePing() {
-  JsonValue request = JsonValue::Object();
-  request.Set("verb", JsonValue::String("PING"));
-  std::vector<size_t> all(shards_.size());
-  std::iota(all.begin(), all.end(), size_t{0});
-  std::vector<ShardReply> replies = FanOut(all, request);
+  std::vector<ShardReply> replies = FanOut(all_shards_, VerbRequest("PING"));
   uint64_t epoch = 0;
   std::vector<size_t> missing;
   for (size_t i = 0; i < replies.size(); ++i) {
@@ -866,17 +861,10 @@ obs::JsonValue RouterService::HandleCount(const obs::JsonValue& request) {
   // A pruned shard contributes exactly zero matches (its AND-of-slices is
   // the zero vector), but its transactions still count toward the visible
   // denominator; cached totals stand in for the skipped round trip.
-  {
-    size_t next = 0;
-    for (size_t i = 0; i < shards_.size(); ++i) {
-      if (next < targets.size() && targets[next] == i) {
-        ++next;
-        continue;
-      }
-      visible += shards_[i]->transactions.load(std::memory_order_relaxed);
-      epoch = std::max(epoch,
-                       shards_[i]->epoch.load(std::memory_order_relaxed));
-    }
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    if (std::binary_search(targets.begin(), targets.end(), i)) continue;
+    visible += shards_[i]->transactions.load(std::memory_order_relaxed);
+    epoch = std::max(epoch, shards_[i]->epoch.load(std::memory_order_relaxed));
   }
   if (!missing.empty() && !options_.allow_degraded) {
     return ErrorResponse(
@@ -994,13 +982,10 @@ obs::JsonValue RouterService::MineExchange(double min_support, size_t top,
   // τ_i = ceil(minsup·n_i)), untruncated. Pigeonhole guarantees the union
   // of the local frequent sets contains every globally frequent pattern
   // (cluster/merge.h has the argument).
-  JsonValue round1_request = JsonValue::Object();
-  round1_request.Set("verb", JsonValue::String("MINE"));
+  JsonValue round1_request = VerbRequest("MINE");
   round1_request.Set("minsup", JsonValue::Double(min_support));
   round1_request.Set("top", JsonValue::Uint(options_.mine_round1_top));
-  std::vector<size_t> all(shards_.size());
-  std::iota(all.begin(), all.end(), size_t{0});
-  std::vector<ShardReply> replies = FanOut(all, round1_request);
+  std::vector<ShardReply> replies = FanOut(all_shards_, round1_request);
 
   std::vector<ShardMineResult> round1(shards_.size());
   std::vector<size_t> missing;
@@ -1058,60 +1043,53 @@ obs::JsonValue RouterService::MineExchange(double min_support, size_t top,
   // Round 2: each shard exact-counts only the candidates it did not
   // already report (its round-1 supports are exact). Shards with nothing
   // missing skip the round entirely.
-  std::vector<std::map<Itemset, uint64_t>> round2(shards_.size());
   std::vector<std::vector<Itemset>> needed(shards_.size());
+  std::vector<JsonValue> round2_requests(shards_.size());
   std::vector<size_t> round2_targets;
+  std::vector<const JsonValue*> round2_request_ptrs;
   for (size_t i = 0; i < shards_.size(); ++i) {
     if (!round1[i].reachable) continue;
     needed[i] = MissingCandidates(round1[i], candidates);
-    if (!needed[i].empty()) round2_targets.push_back(i);
+    if (needed[i].empty()) continue;
+    JsonValue candidates_json = JsonValue::Array();
+    for (const Itemset& candidate : needed[i]) {
+      candidates_json.Append(ItemsToJson(candidate));
+    }
+    round2_requests[i] = VerbRequest("MINE");
+    round2_requests[i].Set("candidates", std::move(candidates_json));
+    round2_targets.push_back(i);
+    round2_request_ptrs.push_back(&round2_requests[i]);
   }
-  uint64_t round2_requests = 0;
-  std::atomic<bool> snapshot_moved{false};
-  if (!round2_targets.empty()) {
-    std::vector<std::thread> threads;
-    std::mutex missing_mu;
-    threads.reserve(round2_targets.size());
-    for (size_t idx : round2_targets) {
-      threads.emplace_back([this, idx, &needed, &round1, &round2, &missing,
-                            &missing_mu, &snapshot_moved] {
-        JsonValue round2_request = JsonValue::Object();
-        round2_request.Set("verb", JsonValue::String("MINE"));
-        JsonValue candidates_json = JsonValue::Array();
-        for (const Itemset& candidate : needed[idx]) {
-          candidates_json.Append(ItemsToJson(candidate));
-        }
-        round2_request.Set("candidates", std::move(candidates_json));
-        ShardReply reply = CallShard(idx, round2_request);
-        if (!reply.has_response || !reply.response.at("ok").AsBool()) {
-          // Round-1 supports still stand; the gap is surfaced as degraded.
-          std::lock_guard<std::mutex> lock(missing_mu);
-          missing.push_back(idx);
-          return;
-        }
-        // The shard echoes the transaction total its candidate scan
-        // covered; movement since round 1 means an INSERT landed between
-        // the rounds and this pass mixes snapshots.
-        if (UintField(reply.response, "transactions") !=
-            round1[idx].transactions) {
-          snapshot_moved.store(true, std::memory_order_relaxed);
-        }
-        const JsonValue& supports = reply.response.at("supports");
-        for (size_t c = 0;
-             c < needed[idx].size() && c < supports.size(); ++c) {
-          round2[idx][needed[idx][c]] = supports.at(c).AsUint();
-        }
-      });
+  std::vector<ShardReply> round2_replies =
+      FanOut(round2_targets, round2_request_ptrs);
+
+  // Merge in shard order, so `missing` is rebuilt sorted: the round-1 gaps
+  // (never round-2 targets, so they have no reply) plus failed round-2
+  // legs, whose round-1 supports still stand.
+  std::vector<std::map<Itemset, uint64_t>> round2(shards_.size());
+  bool snapshot_moved = false;
+  missing.clear();
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    if (round1[i].reachable && needed[i].empty()) continue;
+    const ShardReply& reply = round2_replies[i];
+    if (!reply.has_response || !reply.response.at("ok").AsBool()) {
+      missing.push_back(i);
+      continue;
     }
-    for (std::thread& thread : threads) thread.join();
-    round2_requests = round2_targets.size();
-    std::sort(missing.begin(), missing.end());
-    missing.erase(std::unique(missing.begin(), missing.end()), missing.end());
-    if (!missing.empty() && !options_.allow_degraded) {
-      return ErrorResponse(
-          "MINE", Status::Unavailable("shards unreachable: [" +
-                                      JoinIndices(missing) + "]"));
+    // The shard echoes the transaction total its candidate scan covered;
+    // movement since round 1 means an INSERT landed between the rounds and
+    // this pass mixes snapshots.
+    snapshot_moved |=
+        UintField(reply.response, "transactions") != round1[i].transactions;
+    const JsonValue& supports = reply.response.at("supports");
+    for (size_t c = 0; c < needed[i].size() && c < supports.size(); ++c) {
+      round2[i][needed[i][c]] = supports.at(c).AsUint();
     }
+  }
+  if (!missing.empty() && !options_.allow_degraded) {
+    return ErrorResponse(
+        "MINE", Status::Unavailable("shards unreachable: [" +
+                                    JoinIndices(missing) + "]"));
   }
 
   std::vector<Pattern> merged =
@@ -1132,11 +1110,11 @@ obs::JsonValue RouterService::MineExchange(double min_support, size_t top,
   response.Set("patterns", std::move(patterns));
   // Exchange diagnostics (additive; the oracle-identity tests compare the
   // daemon fields above).
-  *consistent = !snapshot_moved.load(std::memory_order_relaxed);
+  *consistent = !snapshot_moved;
   JsonValue exchange = JsonValue::Object();
   exchange.Set("tau", JsonValue::Uint(tau));
   exchange.Set("candidates", JsonValue::Uint(candidates.size()));
-  exchange.Set("round2_requests", JsonValue::Uint(round2_requests));
+  exchange.Set("round2_requests", JsonValue::Uint(round2_targets.size()));
   exchange.Set("snapshot_consistent", JsonValue::Bool(*consistent));
   exchange.Set("snapshot_retries", JsonValue::Uint(attempt));
   response.Set("exchange", std::move(exchange));
@@ -1149,11 +1127,8 @@ obs::JsonValue RouterService::HandleCheckpoint() {
     return ErrorResponse("CHECKPOINT",
                          Status::Unavailable("service is draining"));
   }
-  JsonValue request = JsonValue::Object();
-  request.Set("verb", JsonValue::String("CHECKPOINT"));
-  std::vector<size_t> all(shards_.size());
-  std::iota(all.begin(), all.end(), size_t{0});
-  std::vector<ShardReply> replies = FanOut(all, request);
+  std::vector<ShardReply> replies =
+      FanOut(all_shards_, VerbRequest("CHECKPOINT"));
   uint64_t epoch = 0;
   uint64_t checkpoints = 0;
   std::vector<size_t> failed;

@@ -263,9 +263,12 @@ class RouterService : public service::RequestHandler {
   /// empty-handed with has_response == false).
   std::vector<ShardReply> FanOut(const std::vector<size_t>& targets,
                                  const obs::JsonValue& request);
+  /// Same, sending *requests[k] to targets[k].
+  std::vector<ShardReply> FanOut(
+      const std::vector<size_t>& targets,
+      const std::vector<const obs::JsonValue*>& requests);
 
-  /// The sorted union of the query items' hash positions (guards the
-  /// non-thread-safe BloomHashFamily cache).
+  /// The sorted union of the query items' hash positions.
   std::vector<uint32_t> QueryPositions(const Itemset& items);
 
   /// Bloofi-matched shard indices for the query (everything when pruning
@@ -306,7 +309,8 @@ class RouterService : public service::RequestHandler {
   /// INSERT updated it while the fetch was in flight (leaf_version
   /// check); otherwise the fetched signature is ORed in, so a snapshot
   /// that predates a concurrently acked INSERT can never clear that
-  /// insert's bits.
+  /// insert's bits. A reply whose config is malformed or differs from the
+  /// fleet's marks the shard down and sets its leaf to all-ones.
   void RefreshShard(size_t idx);
 
   void NoteShardSuccess(size_t idx, const obs::JsonValue& response,
@@ -329,6 +333,7 @@ class RouterService : public service::RequestHandler {
   RouterOptions options_;
   service::ServiceMetrics metrics_;
   std::vector<std::unique_ptr<ShardState>> shards_;
+  std::vector<size_t> all_shards_;  // 0, 1, ..., shards_.size() - 1
 
   BbsConfig config_;
   bool mine_enabled_ = false;

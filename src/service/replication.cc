@@ -22,6 +22,17 @@ std::string FrameErrorMessage(const obs::JsonValue& frame) {
   return "unspecified error";
 }
 
+/// The status for a non-ok frame from the primary. Sets *rejected when the
+/// primary refused this follower's position (InvalidArgument: the
+/// watermark precedes its WAL base or runs ahead of it), which no
+/// reconnect from the same watermark can fix.
+Status FrameError(const std::string& what, const obs::JsonValue& frame,
+                  bool* rejected) {
+  *rejected = frame.at("error").at("code").AsString() ==
+              StatusCodeName(StatusCode::kInvalidArgument);
+  return Status::IoError(what + FrameErrorMessage(frame));
+}
+
 bool IsUint(const obs::JsonValue& doc, const std::string& key) {
   return doc.kind() == obs::JsonValue::Kind::kObject && doc.Has(key) &&
          doc.at(key).is_number();
@@ -246,9 +257,17 @@ void ReplicationFollower::Stop() {
 
 void ReplicationFollower::Run() {
   while (!stop_.load(std::memory_order_acquire)) {
-    Status status = RunOnce();
+    bool rejected = false;
+    Status status = RunOnce(&rejected);
     connected_.store(false, std::memory_order_relaxed);
     if (stop_.load(std::memory_order_acquire)) break;
+    if (rejected) {
+      std::fprintf(stderr, "bbsmined: replication from %s halted: %s\n",
+                   primary_endpoint().c_str(), status.message().c_str());
+      halt_error_ = status.message();
+      halted_.store(true, std::memory_order_release);
+      break;
+    }
     if (!status.ok() && status.code() != StatusCode::kNotFound &&
         status.code() != StatusCode::kUnavailable) {
       std::fprintf(stderr, "bbsmined: replication stream to %s failed: %s\n",
@@ -263,7 +282,7 @@ void ReplicationFollower::Run() {
   running_.store(false, std::memory_order_relaxed);
 }
 
-Status ReplicationFollower::RunOnce() {
+Status ReplicationFollower::RunOnce(bool* rejected) {
   Result<OwnedFd> fd =
       ConnectTcp(options_.host, options_.port, options_.connect_timeout_ms);
   if (!fd.ok()) return fd.status();
@@ -283,8 +302,7 @@ Status ReplicationFollower::RunOnce() {
   if (!reply.ok()) return reply.status();
   if (reply->kind() != obs::JsonValue::Kind::kObject || !reply->Has("ok") ||
       !reply->at("ok").AsBool()) {
-    return Status::IoError("primary rejected WALSTREAM: " +
-                           FrameErrorMessage(*reply));
+    return FrameError("primary rejected WALSTREAM: ", *reply, rejected);
   }
   connected_.store(true, std::memory_order_relaxed);
   if (IsUint(*reply, "end_txn")) {
@@ -305,8 +323,7 @@ Status ReplicationFollower::RunOnce() {
       return Status::IoError("malformed WALSTREAM frame from primary");
     }
     if (!doc.at("ok").AsBool()) {
-      return Status::IoError("primary ended WALSTREAM: " +
-                             FrameErrorMessage(doc));
+      return FrameError("primary ended WALSTREAM: ", doc, rejected);
     }
     const std::string kind =
         doc.Has("kind") ? doc.at("kind").AsString() : "";
@@ -364,6 +381,8 @@ ReplicationFollower::Stats ReplicationFollower::stats() const {
   stats.records_applied = records_applied_.load(std::memory_order_relaxed);
   stats.crc_rejects = crc_rejects_.load(std::memory_order_relaxed);
   stats.reconnects = reconnects_.load(std::memory_order_relaxed);
+  stats.halted = halted_.load(std::memory_order_acquire);
+  if (stats.halted) stats.error = halt_error_;
   return stats;
 }
 

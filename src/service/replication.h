@@ -40,7 +40,9 @@
 // Thread model: ReplicationSource::Serve runs on the server's connection
 // thread (the WALSTREAM connection is consumed by the stream until either
 // side closes). ReplicationFollower owns one background thread that
-// connects, tails, applies, and reconnects forever until Stop().
+// connects, tails, applies, and reconnects until Stop(), or until the
+// primary refuses its watermark (before the WAL base, or ahead of the
+// primary): no reconnect can fix that, so it halts and STATS says why.
 
 #ifndef BBSMINE_SERVICE_REPLICATION_H_
 #define BBSMINE_SERVICE_REPLICATION_H_
@@ -179,6 +181,9 @@ class ReplicationFollower {
     uint64_t records_applied = 0;
     uint64_t crc_rejects = 0;
     uint64_t reconnects = 0;
+    /// The primary rejected this follower's position; the tail stopped.
+    bool halted = false;
+    std::string error;  ///< why it halted (empty unless halted)
   };
   Stats stats() const;
 
@@ -190,7 +195,8 @@ class ReplicationFollower {
   void Run();
   /// One connection lifetime: connect, handshake, tail. The status says
   /// why it ended (NotFound = peer closed; anything else is logged).
-  Status RunOnce();
+  /// Sets *rejected when the primary refused this follower's position.
+  Status RunOnce(bool* rejected);
 
   ReplicationFollowerOptions options_;
   WatermarkFn watermark_;
@@ -204,6 +210,8 @@ class ReplicationFollower {
   std::atomic<uint64_t> records_applied_{0};
   std::atomic<uint64_t> crc_rejects_{0};
   std::atomic<uint64_t> reconnects_{0};
+  std::atomic<bool> halted_{false};
+  std::string halt_error_;  // written once, before halted_ is set
   std::mutex sleep_mu_;
   std::condition_variable sleep_cv_;
 };

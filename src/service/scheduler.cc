@@ -18,57 +18,65 @@ CountScheduler::CountScheduler(const SnapshotManager* index,
       options_(options),
       metrics_(metrics),
       tracer_(tracer),
-      pool_(ResolveThreads(options.num_threads)),
-      dispatcher_([this] { DispatcherLoop(); }) {}
+      pool_(ResolveThreads(options.num_threads)) {}
 
 CountScheduler::~CountScheduler() { Shutdown(); }
 
 Status CountScheduler::Count(const Itemset& items, const CountObs& obs,
                              CountResult* out) {
-  Itemset canonical = items;
-  Canonicalize(&canonical);
-  if (canonical.empty()) {
+  Request request;
+  request.items = items;
+  Canonicalize(&request.items);
+  if (request.items.empty()) {
     return Status::InvalidArgument("COUNT requires a non-empty itemset");
   }
-  std::future<CountResult> answer;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stop_) {
-      return Status::Unavailable("scheduler is draining");
-    }
-    if (queue_.size() >= options_.max_pending) {
-      if (metrics_ != nullptr) {
-        metrics_->Inc(metrics_->rejected_backpressure);
-      }
-      return Status::Unavailable(
-          "admission queue full (" + std::to_string(options_.max_pending) +
-          " pending); retry later");
-    }
-    Request request;
-    request.items = std::move(canonical);
-    request.trace_id = obs.trace_id;
-    request.sampled = obs.sampled && tracer_ != nullptr;
-    request.admitted_at = std::chrono::steady_clock::now();
-    if (request.sampled) request.admit_ts_us = tracer_->NowMicros();
-    answer = request.promise.get_future();
-    queue_.push_back(std::move(request));
+  request.out = out;
+  request.trace_id = obs.trace_id;
+  request.sampled = obs.sampled && tracer_ != nullptr;
+
+  std::unique_lock<std::mutex> lock(mu_);
+  if (stop_) return Status::Unavailable("scheduler is draining");
+  if (queue_.size() >= options_.max_pending) {
     if (metrics_ != nullptr) {
-      metrics_->GaugeMax(metrics_->queue_depth, queue_.size());
+      metrics_->Inc(metrics_->rejected_backpressure);
     }
+    return Status::Unavailable(
+        "admission queue full (" + std::to_string(options_.max_pending) +
+        " pending); retry later");
   }
-  cv_.notify_one();
-  *out = answer.get();
+  request.admitted_at = std::chrono::steady_clock::now();
+  if (request.sampled) request.admit_ts_us = tracer_->NowMicros();
+  queue_.push_back(&request);
+  ++in_flight_;
+  if (metrics_ != nullptr) {
+    metrics_->GaugeMax(metrics_->queue_depth, queue_.size());
+  }
+
+  // Flat combining: sleep until this request is answered or no batch is
+  // running. In the second case it is still queued, and its caller runs
+  // the next batch itself.
+  for (;;) {
+    cv_.wait(lock, [&] { return request.answered || !running_; });
+    if (request.answered) break;
+    const size_t take = std::min(queue_.size(), options_.max_batch);
+    std::vector<Request*> batch(queue_.begin(), queue_.begin() + take);
+    queue_.erase(queue_.begin(), queue_.begin() + take);
+    running_ = true;
+    lock.unlock();
+    RunBatch(batch);
+    lock.lock();
+    for (Request* answered : batch) answered->answered = true;
+    running_ = false;
+    cv_.notify_all();
+  }
+  if (--in_flight_ == 0 && stop_) cv_.notify_all();
   return Status::Ok();
 }
 
 void CountScheduler::Shutdown() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  cv_.notify_all();
-  std::lock_guard<std::mutex> join_lock(join_mu_);
-  if (dispatcher_.joinable()) dispatcher_.join();
+  std::unique_lock<std::mutex> lock(mu_);
+  stop_ = true;
+  cv_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
 size_t CountScheduler::pending() const {
@@ -76,42 +84,24 @@ size_t CountScheduler::pending() const {
   return queue_.size();
 }
 
-void CountScheduler::DispatcherLoop() {
-  for (;;) {
-    std::vector<Request> batch;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stop_ set and fully drained
-      size_t take = std::min(queue_.size(), options_.max_batch);
-      batch.reserve(take);
-      for (size_t i = 0; i < take; ++i) {
-        batch.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-      }
-    }
-    RunBatch(&batch);
-  }
-}
-
-void CountScheduler::RunBatch(std::vector<Request>* batch) {
+void CountScheduler::RunBatch(const std::vector<Request*>& batch) {
   const uint64_t batch_id = ++next_batch_id_;
   const auto batch_started_at = std::chrono::steady_clock::now();
   const bool any_sampled =
-      std::any_of(batch->begin(), batch->end(),
-                  [](const Request& r) { return r.sampled; });
+      std::any_of(batch.begin(), batch.end(),
+                  [](const Request* r) { return r->sampled; });
   const double batch_ts_us =
       (tracer_ != nullptr && any_sampled) ? tracer_->NowMicros() : 0;
 
-  // Queue-wait spans: admission to batch start, recorded on the dispatcher
+  // Queue-wait spans: admission to batch start, recorded on the combiner's
   // thread but attributed to the request via its trace_id arg.
   if (tracer_ != nullptr && tracer_->enabled(obs::kTraceQueue)) {
-    for (const Request& r : *batch) {
-      if (!r.sampled) continue;
-      std::string args = "\"trace_id\": \"" + obs::JsonEscape(r.trace_id) +
+    for (const Request* r : batch) {
+      if (!r->sampled) continue;
+      std::string args = "\"trace_id\": \"" + obs::JsonEscape(r->trace_id) +
                          "\", \"batch\": " + std::to_string(batch_id);
       tracer_->AddComplete(obs::kTraceQueue, "count.queue_wait",
-                           r.admit_ts_us, batch_ts_us - r.admit_ts_us,
+                           r->admit_ts_us, batch_ts_us - r->admit_ts_us,
                            std::move(args));
     }
   }
@@ -122,10 +112,9 @@ void CountScheduler::RunBatch(std::vector<Request>* batch) {
   // Collapse identical itemsets, preserving first-arrival order.
   std::map<Itemset, size_t> group_of;
   std::vector<const Itemset*> uniques;
-  std::vector<size_t> request_group(batch->size());
-  for (size_t r = 0; r < batch->size(); ++r) {
-    auto [it, inserted] =
-        group_of.emplace((*batch)[r].items, uniques.size());
+  std::vector<size_t> request_group(batch.size());
+  for (size_t r = 0; r < batch.size(); ++r) {
+    auto [it, inserted] = group_of.emplace(batch[r]->items, uniques.size());
     if (inserted) uniques.push_back(&it->first);
     request_group[r] = it->second;
   }
@@ -134,8 +123,8 @@ void CountScheduler::RunBatch(std::vector<Request>* batch) {
   // attributing per-segment spans of the fan-out below.
   std::vector<const std::string*> group_trace(uniques.size(), nullptr);
   if (tracer_ != nullptr && tracer_->enabled(obs::kTraceSegment)) {
-    for (size_t r = 0; r < batch->size(); ++r) {
-      const Request& req = (*batch)[r];
+    for (size_t r = 0; r < batch.size(); ++r) {
+      const Request& req = *batch[r];
       if (req.sampled && group_trace[request_group[r]] == nullptr) {
         group_trace[request_group[r]] = &req.trace_id;
       }
@@ -242,23 +231,23 @@ void CountScheduler::RunBatch(std::vector<Request>* batch) {
   CountResult base;
   base.epoch = snap.epoch();
   base.visible_transactions = snap.num_transactions();
-  base.batch_size = static_cast<uint32_t>(batch->size());
+  base.batch_size = static_cast<uint32_t>(batch.size());
   base.batch_id = batch_id;
-  for (size_t r = 0; r < batch->size(); ++r) {
+  for (size_t r = 0; r < batch.size(); ++r) {
     CountResult result = base;
     result.count = totals[request_group[r]];
     result.slice_words = group_words[request_group[r]];
     result.queue_wait_us = static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(
-            batch_started_at - (*batch)[r].admitted_at)
+            batch_started_at - batch[r]->admitted_at)
             .count());
-    (*batch)[r].promise.set_value(result);
+    *batch[r]->out = result;
   }
 
   if (tracer_ != nullptr && any_sampled &&
       tracer_->enabled(obs::kTraceBatch)) {
     std::string args = "\"batch\": " + std::to_string(batch_id) +
-                       ", \"size\": " + std::to_string(batch->size()) +
+                       ", \"size\": " + std::to_string(batch.size()) +
                        ", \"uniques\": " + std::to_string(uniques.size()) +
                        ", \"shared_items\": " +
                        std::to_string(shared_items.size()) +
@@ -270,12 +259,12 @@ void CountScheduler::RunBatch(std::vector<Request>* batch) {
 
   if (metrics_ != nullptr) {
     metrics_->Inc(metrics_->batches);
-    if (batch->size() > 1) {
-      metrics_->Inc(metrics_->batch_fused_requests, batch->size());
+    if (batch.size() > 1) {
+      metrics_->Inc(metrics_->batch_fused_requests, batch.size());
     }
     metrics_->Inc(metrics_->shared_seed_queries, seeded.load());
-    metrics_->GaugeMax(metrics_->batch_size_peak, batch->size());
-    metrics_->ObserveLog2(metrics_->batch_size_hist, batch->size());
+    metrics_->GaugeMax(metrics_->batch_size_peak, batch.size());
+    metrics_->ObserveLog2(metrics_->batch_size_hist, batch.size());
   }
 }
 

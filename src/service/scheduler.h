@@ -9,10 +9,11 @@
 //   * admits requests into a bounded queue — a full queue rejects with
 //     Status::Unavailable (backpressure; the wire layer surfaces it as a
 //     retryable error) instead of letting latency grow without bound;
-//   * a dispatcher thread drains the queue in arrival order into batches
-//     (up to max_batch requests), acquires ONE snapshot per batch, and
-//     answers every request in the batch at that epoch — identical
-//     requests collapse to one evaluation;
+//   * combines: the first caller that finds no batch running executes up
+//     to max_batch queued requests (arrival order) on its own thread, so a
+//     lone COUNT never changes threads; the rest sleep until answered, and
+//     one left out of the batch runs the next. Each batch acquires ONE
+//     snapshot — identical requests collapse to one evaluation;
 //   * items shared by two or more distinct queries of a batch get their
 //     single-item transaction vectors computed once per segment (the
 //     shared slice streams); each query then seeds from the sparsest
@@ -31,10 +32,8 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <future>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "obs/trace.h"
@@ -89,7 +88,7 @@ class CountScheduler {
   CountScheduler(const SnapshotManager* index, const SchedulerOptions& options,
                  ServiceMetrics* metrics, obs::Tracer* tracer = nullptr);
 
-  /// Drains pending requests, then stops the dispatcher.
+  /// Shutdown().
   ~CountScheduler();
 
   CountScheduler(const CountScheduler&) = delete;
@@ -106,40 +105,41 @@ class CountScheduler {
   /// Same, with per-request observability context.
   Status Count(const Itemset& items, const CountObs& obs, CountResult* out);
 
-  /// Stops admitting, executes every already-admitted request, joins the
-  /// dispatcher. Idempotent.
+  /// Stops admitting, then waits until every admitted Count() call has
+  /// returned. Idempotent.
   void Shutdown();
 
   /// Requests currently waiting for a batch.
   size_t pending() const;
 
  private:
+  /// Lives on its caller's stack; the combiner fills `*out`.
   struct Request {
     Itemset items;
-    std::promise<CountResult> promise;
+    CountResult* out = nullptr;
+    bool answered = false;  // guarded by mu_
     std::string trace_id;
     bool sampled = false;
     std::chrono::steady_clock::time_point admitted_at;
     double admit_ts_us = 0;  ///< tracer timestamp at admission (if tracing)
   };
 
-  void DispatcherLoop();
-  void RunBatch(std::vector<Request>* batch);
+  void RunBatch(const std::vector<Request*>& batch);
 
   const SnapshotManager* index_;
   SchedulerOptions options_;
   ServiceMetrics* metrics_;
   obs::Tracer* tracer_;
-  uint64_t next_batch_id_ = 0;  // dispatcher thread only
+  uint64_t next_batch_id_ = 0;  // the running combiner only
 
   mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<Request> queue_;
+  std::condition_variable cv_;  // a batch finished
+  std::deque<Request*> queue_;
+  bool running_ = false;   // a combiner is executing a batch
+  size_t in_flight_ = 0;   // admitted Count() calls not yet returned
   bool stop_ = false;
-  std::mutex join_mu_;  // serializes concurrent Shutdown calls
 
   ThreadPool pool_;
-  std::thread dispatcher_;
 };
 
 }  // namespace bbsmine::service

@@ -13,18 +13,11 @@
 #include "service/replication.h"
 #include "service/wire.h"
 #include "util/rusage.h"
+#include "util/stopwatch.h"
 
 namespace bbsmine::service {
 
 namespace {
-
-/// Microseconds elapsed since `since` on the steady clock.
-uint64_t MicrosSince(std::chrono::steady_clock::time_point since) {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - since)
-          .count());
-}
 
 /// "epoch" member of an ok response, if present (error responses and MINE
 /// have none).
@@ -697,6 +690,10 @@ obs::JsonValue BbsService::BuildReplicationSection() const {
                 obs::JsonValue::Uint(stats.records_applied));
     section.Set("crc_rejects", obs::JsonValue::Uint(stats.crc_rejects));
     section.Set("reconnects", obs::JsonValue::Uint(stats.reconnects));
+    section.Set("halted", obs::JsonValue::Bool(stats.halted));
+    if (stats.halted) {
+      section.Set("error", obs::JsonValue::String(stats.error));
+    }
   }
   return section;
 }

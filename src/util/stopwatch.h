@@ -1,4 +1,4 @@
-// Wall-clock timing helper for the benchmark harness.
+// Wall-clock timing helpers.
 
 #ifndef BBSMINE_UTIL_STOPWATCH_H_
 #define BBSMINE_UTIL_STOPWATCH_H_
@@ -31,6 +31,14 @@ class Stopwatch {
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
 };
+
+/// Whole microseconds elapsed on the steady clock since `since`.
+inline uint64_t MicrosSince(std::chrono::steady_clock::time_point since) {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - since)
+          .count());
+}
 
 }  // namespace bbsmine
 

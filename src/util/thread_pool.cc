@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <latch>
+#include <memory>
 #include <utility>
 
 namespace bbsmine {
@@ -32,11 +34,6 @@ void ThreadPool::Submit(std::function<void()> task) {
   work_cv_.notify_one();
 }
 
-void ThreadPool::Wait() {
-  std::unique_lock<std::mutex> lock(mu_);
-  idle_cv_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
-}
-
 void ThreadPool::WorkerLoop() {
   for (;;) {
     std::function<void()> task;
@@ -46,31 +43,30 @@ void ThreadPool::WorkerLoop() {
       if (queue_.empty()) return;  // stop_ set and nothing left to run
       task = std::move(queue_.front());
       queue_.pop_front();
-      ++active_;
     }
     task();
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      --active_;
-      if (queue_.empty() && active_ == 0) idle_cv_.notify_all();
-    }
   }
 }
 
 void ThreadPool::ParallelFor(size_t n,
                              const std::function<void(size_t)>& body) {
-  if (n == 0) return;
-  auto next = std::make_shared<std::atomic<size_t>>(0);
-  size_t tasks = std::min(num_threads(), n);
-  for (size_t t = 0; t < tasks; ++t) {
-    Submit([next, n, &body] {
-      for (size_t i = next->fetch_add(1, std::memory_order_relaxed); i < n;
-           i = next->fetch_add(1, std::memory_order_relaxed)) {
-        body(i);
-      }
-    });
-  }
-  Wait();
+  // Shared with the helper tasks, so a helper dequeued after this call
+  // returned still finds it: it claims an index past n and never runs body.
+  struct State {
+    explicit State(size_t n) : done(static_cast<std::ptrdiff_t>(n)) {}
+    std::atomic<size_t> next{0};
+    std::latch done;  // counts down once per finished iteration
+  };
+  auto state = std::make_shared<State>(n);
+  auto drain = [state, n, &body] {
+    for (size_t i; (i = state->next.fetch_add(1)) < n;) {
+      body(i);
+      state->done.count_down();
+    }
+  };
+  for (size_t t = 1; t < std::min(num_threads(), n); ++t) Submit(drain);
+  drain();
+  state->done.wait();
 }
 
 size_t ThreadPool::DefaultThreads() {

@@ -40,9 +40,6 @@ class ThreadPool {
   /// from inside another task.
   void Submit(std::function<void()> task);
 
-  /// Blocks until the queue is empty and no task is executing.
-  void Wait();
-
   size_t num_threads() const { return workers_.size(); }
 
   /// Deepest backlog the task queue has reached (watermark over the pool's
@@ -53,8 +50,12 @@ class ThreadPool {
     return max_queue_depth_;
   }
 
-  /// Runs body(i) for every i in [0, n), distributing indices dynamically
-  /// across the pool's workers. Returns when all iterations are done.
+  /// Runs body(i) for every i in [0, n) on the calling thread plus up to
+  /// min(num_threads(), n) - 1 pool workers, distributing indices
+  /// dynamically. Returns as soon as this call's n iterations are done
+  /// (other work on the pool is not waited for), so n == 1 never leaves
+  /// the caller, and concurrent or nested calls on one pool cannot
+  /// deadlock: every caller can finish its own loop alone.
   void ParallelFor(size_t n, const std::function<void(size_t)>& body);
 
   /// The number of hardware threads, or 1 when it cannot be determined.
@@ -66,9 +67,7 @@ class ThreadPool {
 
   mutable std::mutex mu_;
   std::condition_variable work_cv_;  // signaled when tasks arrive / shutdown
-  std::condition_variable idle_cv_;  // signaled when the pool drains
   std::deque<std::function<void()>> queue_;
-  size_t active_ = 0;
   uint64_t max_queue_depth_ = 0;
   bool stop_ = false;
   std::vector<std::thread> workers_;

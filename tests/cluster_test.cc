@@ -18,6 +18,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <set>
 #include <string>
@@ -1241,6 +1242,184 @@ TEST(RouterStatsTest, RouterShardInfoExposesRootSignature) {
       EXPECT_TRUE(signature->Get(b)) << "bit " << b;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Hostile input: crafted SHARDINFO configs and malformed request frames.
+
+/// A SHARDINFO reply in the daemon's shape, with every config field and
+/// the signature chosen by the test.
+JsonValue CraftedShardInfo(uint64_t bits, uint64_t hashes, uint64_t hash_kind,
+                           const BitVector& signature) {
+  JsonValue config = JsonValue::Object();
+  config.Set("bits", JsonValue::Uint(bits));
+  config.Set("hashes", JsonValue::Uint(hashes));
+  config.Set("hash_kind", JsonValue::Uint(hash_kind));
+  config.Set("seed", JsonValue::Uint(ClusterConfig().seed));
+  JsonValue info = service::OkResponse("SHARDINFO");
+  info.Set("epoch", JsonValue::Uint(0));
+  info.Set("transactions", JsonValue::Uint(0));
+  info.Set("mine_enabled", JsonValue::Bool(false));
+  info.Set("config", std::move(config));
+  info.Set("signature_bits", JsonValue::Uint(signature.size()));
+  info.Set("signature", JsonValue::String(service::BitsToHex(signature)));
+  return info;
+}
+
+/// A shard stand-in: SHARDINFO answers with whatever the test set, COUNT
+/// with an empty shard's zero.
+class StubShard : public service::RequestHandler {
+ public:
+  explicit StubShard(JsonValue info) : info_(std::move(info)) {}
+
+  JsonValue Handle(const JsonValue& request,
+                   const service::RequestContext&) override {
+    const std::string verb = request.at("verb").AsString();
+    if (verb == "SHARDINFO") {
+      std::lock_guard<std::mutex> lock(mu_);
+      return info_;
+    }
+    JsonValue response = service::OkResponse(verb);
+    response.Set("count", JsonValue::Uint(0));
+    response.Set("visible_transactions", JsonValue::Uint(0));
+    response.Set("epoch", JsonValue::Uint(0));
+    return response;
+  }
+
+  service::ServiceMetrics& metrics() override { return metrics_; }
+
+  void SetInfo(JsonValue info) {
+    std::lock_guard<std::mutex> lock(mu_);
+    info_ = std::move(info);
+  }
+
+ private:
+  std::mutex mu_;
+  JsonValue info_;
+  service::ServiceMetrics metrics_;
+};
+
+std::unique_ptr<service::SocketServer> StartStubServer(StubShard* stub,
+                                                       uint16_t port = 0) {
+  service::SocketServerOptions options;
+  options.port = port;
+  auto server = std::make_unique<service::SocketServer>(stub, options);
+  EXPECT_TRUE(server->Start().ok());
+  return server;
+}
+
+ShardEntry LoopbackEntry(uint16_t port) {
+  ShardEntry entry;
+  entry.primary = Endpoint{"127.0.0.1", port};
+  return entry;
+}
+
+TEST(RouterConfigTest, InitRejectsOverflowingAndUnknownShardConfigs) {
+  TransactionDatabase full = bbsmine::testing::RandomDb(73, 40, 12, 4.0);
+  Fleet fleet(full, 1);
+  const uint64_t bits = ClusterConfig().num_bits;
+  const BitVector ones(bits, true);
+
+  // 2^32 + bits would truncate to `bits` and pass the identity check.
+  StubShard wide(CraftedShardInfo((uint64_t{1} << 32) + bits,
+                                  ClusterConfig().num_hashes, 0, ones));
+  auto wide_server = StartStubServer(&wide);
+  ShardMap map = fleet.map();
+  map.shards.push_back(LoopbackEntry(wide_server->port()));
+  RouterService wide_router(map, Fleet::FastOptions());
+  Status wide_status = wide_router.Init();
+  EXPECT_EQ(wide_status.code(), StatusCode::kInvalidArgument)
+      << wide_status.ToString();
+
+  // A hash kind past the last one the index knows.
+  StubShard unknown(CraftedShardInfo(bits, ClusterConfig().num_hashes,
+                                     static_cast<uint64_t>(HashKind::kModulo) +
+                                         1,
+                                     ones));
+  auto unknown_server = StartStubServer(&unknown);
+  ShardMap solo;
+  solo.shards.push_back(LoopbackEntry(unknown_server->port()));
+  RouterService unknown_router(solo, Fleet::FastOptions());
+  Status unknown_status = unknown_router.Init();
+  EXPECT_EQ(unknown_status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(unknown_status.message().find("hash kind"), std::string::npos)
+      << unknown_status.ToString();
+  wide_server->Stop();
+  unknown_server->Stop();
+}
+
+TEST(RouterConfigTest, DownToUpRefreshRejectsACraftedConfig) {
+  TransactionDatabase full = bbsmine::testing::RandomDb(79, 40, 12, 4.0);
+  Fleet fleet(full, 1);
+  const uint64_t bits = ClusterConfig().num_bits;
+  const uint64_t hashes = ClusterConfig().num_hashes;
+  StubShard stub(CraftedShardInfo(bits, hashes, 0, BitVector(bits, true)));
+  auto server = StartStubServer(&stub);
+  const uint16_t port = server->port();
+  ShardMap map = fleet.map();
+  map.shards.push_back(LoopbackEntry(port));
+  RouterService router(map, Fleet::FastOptions());
+  ASSERT_TRUE(router.Init().ok());
+  ASSERT_EQ(router.shards_up(), 2u);
+
+  // The stub goes dark: the next leg to it fails and marks it down.
+  server->Stop();
+  JsonValue degraded = router.Handle(CountRequest({1}));
+  ASSERT_TRUE(degraded.at("ok").AsBool()) << degraded.Serialize();
+  EXPECT_TRUE(degraded.at("degraded").AsBool());
+  ASSERT_EQ(router.shards_up(), 1u);
+
+  // It comes back claiming 2^32 + bits and an empty signature. Adopting
+  // that leaf would prune the shard from every query; the refresh must
+  // refuse it instead.
+  stub.SetInfo(CraftedShardInfo((uint64_t{1} << 32) + bits, hashes, 0,
+                                BitVector(bits, false)));
+  server = StartStubServer(&stub, port);
+  JsonValue rejoined = router.Handle(CountRequest({1}));
+  ASSERT_TRUE(rejoined.at("ok").AsBool()) << rejoined.Serialize();
+  EXPECT_EQ(router.shards_up(), 1u) << "a shard with a crafted config stays down";
+  JsonValue next = router.Handle(CountRequest({1}));
+  ASSERT_TRUE(next.at("ok").AsBool()) << next.Serialize();
+  EXPECT_EQ(next.at("cluster").at("shards_queried").AsUint(), 2u)
+      << "the refused leaf must not prune the shard";
+  EXPECT_EQ(next.at("count").AsUint(),
+            fleet.oracle().Handle(CountRequest({1})).at("count").AsUint());
+  server->Stop();
+}
+
+TEST(RouterHostileFrameTest, MalformedRequestsAreRejectedAndServingContinues) {
+  TransactionDatabase full = bbsmine::testing::RandomDb(83, 40, 12, 4.0);
+  Fleet fleet(full, 2);
+  RouterService router(fleet.map(), Fleet::FastOptions());
+  ASSERT_TRUE(router.Init().ok());
+
+  JsonValue deep = JsonValue::Array();
+  deep.Append(JsonValue::Uint(1));
+  for (int depth = 0; depth < 300; ++depth) {
+    JsonValue outer = JsonValue::Array();
+    outer.Append(std::move(deep));
+    deep = std::move(outer);
+  }
+  JsonValue deep_count = MakeRequest("COUNT");
+  deep_count.Set("items", std::move(deep));
+  JsonValue no_verb = JsonValue::Object();
+  no_verb.Set("items", service::ItemsToJson({1}));
+
+  const std::vector<JsonValue> hostile = {
+      JsonValue::Array(), JsonValue::String("COUNT"), no_verb, deep_count,
+      MakeRequest("FROB")};
+  for (const JsonValue& request : hostile) {
+    JsonValue response = router.Handle(request);
+    ASSERT_EQ(response.kind(), JsonValue::Kind::kObject);
+    EXPECT_FALSE(response.at("ok").AsBool()) << response.Serialize();
+    EXPECT_EQ(response.at("error").at("code").AsString(),
+              StatusCodeName(StatusCode::kInvalidArgument))
+        << response.Serialize();
+  }
+  JsonValue counted = router.Handle(CountRequest({1}));
+  ASSERT_TRUE(counted.at("ok").AsBool()) << counted.Serialize();
+  EXPECT_EQ(counted.at("count").AsUint(),
+            fleet.oracle().Handle(CountRequest({1})).at("count").AsUint());
 }
 
 // ---------------------------------------------------------------------------

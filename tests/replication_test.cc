@@ -647,6 +647,36 @@ TEST(ReplicationE2ETest, FollowerRestartResumesFromItsWatermark) {
   EXPECT_EQ(follower->Count({7}), 1u);
 }
 
+TEST(ReplicationE2ETest, FollowerBehindTheWalBaseHaltsInsteadOfRetrying) {
+  // Checkpointed before any follower attached, the primary's WAL starts
+  // past transaction 0: a follower at watermark 0 can never be served.
+  auto primary = MakeNode("repl_halt_p", NodeOptions{});
+  ASSERT_NE(primary, nullptr);
+  ASSERT_TRUE(primary->Call(InsertRequest({{1, 2}, {3}})).at("ok").AsBool());
+  obs::JsonValue checkpoint = obs::JsonValue::Object();
+  checkpoint.Set("verb", obs::JsonValue::String("CHECKPOINT"));
+  ASSERT_TRUE(primary->Call(checkpoint).at("ok").AsBool());
+  ASSERT_EQ(WriteAheadLog::ReadBaseTxnCount(primary->dir + "/wal").value(), 2u);
+
+  NodeOptions follow;
+  follow.follow_port = primary->port();
+  auto follower = MakeNode("repl_halt_f", follow);
+  ASSERT_NE(follower, nullptr);
+  ASSERT_TRUE(WaitUntil([&] { return follower->follower->stats().halted; }));
+
+  // Several reconnect backoffs later the follower has still not retried.
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const ReplicationFollower::Stats stats = follower->follower->stats();
+  EXPECT_FALSE(stats.running);
+  EXPECT_EQ(stats.reconnects, 0u);
+  EXPECT_EQ(follower->applied(), 0u);
+  obs::JsonValue repl = follower->ReplicationStats();
+  EXPECT_TRUE(repl.at("halted").AsBool()) << repl.Serialize(0);
+  EXPECT_NE(repl.at("error").AsString().find("precedes WAL base"),
+            std::string::npos)
+      << repl.Serialize(0);
+}
+
 // ---------------------------------------------------------------------------
 // Promotion: term persistence, fencing, idempotency.
 

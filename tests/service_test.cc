@@ -325,6 +325,98 @@ TEST(CountSchedulerTest, RejectsEmptyAndAfterShutdown) {
             StatusCode::kUnavailable);
 }
 
+TEST(CountSchedulerTest, SingleRequestBatchesHandTheCombinerOn) {
+  // max_batch = 1 forces every batch to leave the other queued callers
+  // out, so each answer depends on the combiner role passing to one of
+  // them.
+  Fixture fx = MakeFixture(20, 300, 64);
+  auto manager = SnapshotManager::FromIndex(fx.index);
+  ASSERT_TRUE(manager.ok());
+  ServiceMetrics metrics;
+  SchedulerOptions options;
+  options.max_batch = 1;
+  options.num_threads = 2;
+  CountScheduler scheduler(&*manager, options, &metrics);
+
+  constexpr size_t kSubmitters = 16;
+  const std::vector<Itemset> queries = QueryMix();
+  std::vector<std::vector<CountResult>> results(kSubmitters);
+  std::vector<std::vector<Status>> statuses(kSubmitters);
+  {
+    std::vector<std::thread> clients;
+    for (size_t t = 0; t < kSubmitters; ++t) {
+      clients.emplace_back([&, t] {
+        for (size_t q = t; q < queries.size(); q += 3) {
+          CountResult result;
+          statuses[t].push_back(scheduler.Count(queries[q], &result));
+          results[t].push_back(result);
+        }
+      });
+    }
+    for (std::thread& client : clients) client.join();
+  }
+  uint64_t answered = 0;
+  for (size_t t = 0; t < kSubmitters; ++t) {
+    uint64_t last_batch = 0;
+    for (size_t k = 0; k < results[t].size(); ++k) {
+      const Itemset& query = queries[t + 3 * k];
+      ASSERT_TRUE(statuses[t][k].ok()) << statuses[t][k].ToString();
+      EXPECT_EQ(results[t][k].count, fx.index.CountItemSet(query))
+          << ItemsetToString(query);
+      EXPECT_EQ(results[t][k].batch_size, 1u);
+      EXPECT_GT(results[t][k].batch_id, last_batch) << "batch ids go up";
+      last_batch = results[t][k].batch_id;
+      ++answered;
+    }
+  }
+  EXPECT_EQ(metrics.counter(metrics.batches), answered);
+  EXPECT_EQ(scheduler.pending(), 0u);
+}
+
+TEST(CountSchedulerTest, ShutdownRacingSubmittersReturns) {
+  Fixture fx = MakeFixture(21, 300, 64);
+  auto manager = SnapshotManager::FromIndex(fx.index);
+  ASSERT_TRUE(manager.ok());
+  SchedulerOptions options;
+  options.max_batch = 4;
+  options.num_threads = 2;
+  CountScheduler scheduler(&*manager, options, nullptr);
+
+  const std::vector<Itemset> queries = QueryMix();
+  std::vector<uint64_t> expected;
+  for (const Itemset& query : queries) {
+    expected.push_back(fx.index.CountItemSet(query));
+  }
+  constexpr size_t kSubmitters = 8;
+  std::atomic<size_t> answered{0};
+  std::atomic<size_t> wrong{0};
+  std::atomic<size_t> unexpected_status{0};
+  std::vector<std::thread> clients;
+  for (size_t t = 0; t < kSubmitters; ++t) {
+    clients.emplace_back([&, t] {
+      for (size_t q = t;; q = (q + 1) % queries.size()) {
+        CountResult result;
+        Status status = scheduler.Count(queries[q], &result);
+        if (status.code() == StatusCode::kUnavailable) return;
+        if (!status.ok()) {
+          ++unexpected_status;
+          return;
+        }
+        if (result.count != expected[q]) ++wrong;
+        ++answered;
+      }
+    });
+  }
+  while (answered.load() < 64) std::this_thread::yield();
+  scheduler.Shutdown();
+  EXPECT_EQ(scheduler.pending(), 0u);
+  for (std::thread& client : clients) client.join();
+  EXPECT_EQ(unexpected_status.load(), 0u);
+  EXPECT_EQ(wrong.load(), 0u);
+  CountResult late;
+  EXPECT_EQ(scheduler.Count({1}, &late).code(), StatusCode::kUnavailable);
+}
+
 // ---------------------------------------------------------------------------
 // Verb handler.
 

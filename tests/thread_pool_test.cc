@@ -4,39 +4,21 @@
 
 #include <atomic>
 #include <cstdint>
+#include <future>
+#include <thread>
 #include <vector>
 
 namespace bbsmine {
 namespace {
 
 TEST(ThreadPoolTest, SubmitRunsEveryTask) {
-  ThreadPool pool(4);
   std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&counter] { ++counter; });
-  }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPoolTest, WaitOnIdlePoolReturns) {
-  ThreadPool pool(2);
-  pool.Wait();  // nothing queued: must not hang
-  std::atomic<int> counter{0};
-  pool.Submit([&counter] { ++counter; });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 1);
-}
-
-TEST(ThreadPoolTest, PoolIsReusableAfterWait) {
-  ThreadPool pool(3);
-  std::atomic<int> counter{0};
-  for (int round = 0; round < 5; ++round) {
-    for (int i = 0; i < 20; ++i) {
+  {
+    ThreadPool pool(4);
+    for (int i = 0; i < 100; ++i) {
       pool.Submit([&counter] { ++counter; });
     }
-    pool.Wait();
-  }
+  }  // the destructor completes pending tasks before joining
   EXPECT_EQ(counter.load(), 100);
 }
 
@@ -59,6 +41,55 @@ TEST(ThreadPoolTest, MemberParallelForEmptyRange) {
   std::atomic<int> counter{0};
   pool.ParallelFor(0, [&counter](size_t) { ++counter; });
   EXPECT_EQ(counter.load(), 0);
+}
+
+TEST(ThreadPoolTest, SingleIterationRunsOnTheCallingThread) {
+  ThreadPool pool(4);
+  std::thread::id ran_on;
+  pool.ParallelFor(1, [&ran_on](size_t) {
+    ran_on = std::this_thread::get_id();
+  });
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+}
+
+TEST(ThreadPoolTest, NestedParallelForOnItsOwnPoolCompletes) {
+  // Every worker is busy in the outer body while the inner calls run: each
+  // inner call must finish on its own caller instead of waiting for the
+  // pool to go idle.
+  ThreadPool pool(2);
+  std::atomic<int> inner{0};
+  pool.ParallelFor(4, [&pool, &inner](size_t) {
+    pool.ParallelFor(8, [&inner](size_t) { ++inner; });
+  });
+  EXPECT_EQ(inner.load(), 32);
+}
+
+TEST(ThreadPoolTest, ConcurrentCallsOnOnePoolEachCoverTheirOwnIndices) {
+  ThreadPool pool(3);
+  std::vector<std::atomic<int>> a(500);
+  std::vector<std::atomic<int>> b(700);
+  std::thread other([&pool, &b] {
+    for (int round = 0; round < 20; ++round) {
+      pool.ParallelFor(b.size(), [&b](size_t i) { ++b[i]; });
+    }
+  });
+  for (int round = 0; round < 20; ++round) {
+    pool.ParallelFor(a.size(), [&a](size_t i) { ++a[i]; });
+  }
+  other.join();
+  for (size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i].load(), 20) << i;
+  for (size_t i = 0; i < b.size(); ++i) EXPECT_EQ(b[i].load(), 20) << i;
+}
+
+TEST(ThreadPoolTest, ParallelForDoesNotWaitForUnrelatedTasks) {
+  ThreadPool pool(2);
+  std::promise<void> release;
+  std::shared_future<void> gate = release.get_future().share();
+  pool.Submit([gate] { gate.wait(); });  // holds one worker until released
+  std::vector<std::atomic<int>> hits(100);
+  pool.ParallelFor(hits.size(), [&hits](size_t i) { ++hits[i]; });
+  for (size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 1);
+  release.set_value();
 }
 
 TEST(FreeParallelForTest, InlineWhenSingleThreaded) {
