@@ -76,7 +76,7 @@ std::vector<Node> BuildRoots(const FilterEngine& engine) {
     node.idx = idx;
     node.est = single.est;
     node.check = check;
-    node.set = TidSet::FromDense(single.vector, engine.sparse_threshold());
+    node.set = engine.RootSet(idx);
     roots.push_back(std::move(node));
   }
   return roots;
@@ -119,22 +119,16 @@ class DualFilterWalk {
     state.empty = false;
 
     std::vector<Node> children;
-    for (size_t j = i + 1; j < siblings.size(); ++j) {
-      size_t idx = siblings[j].idx;
-      const FilterEngine::Singleton& single = singles[idx];
-      Node child;
-      child.idx = idx;
-      child.est = engine_.ExtendHybrid(idx, node.set, &child.set);
-      if (stats_ != nullptr) ++stats_->extension_tests;
-      if (child.est < engine_.tau()) {
-        if (stats_ != nullptr) stats_->pruned_by_depth.Add(current_.size() + 1);
-        continue;
-      }
-      child.check = CheckCount(single.exact, single.est, state, child.est,
-                               engine_.tau());
-      // flag < 0 cannot occur below the root (the parent is non-empty).
-      children.push_back(std::move(child));
-    }
+    engine_.ExtendChildren(
+        node.set, current_.size(), siblings, i, &counters_, stats_,
+        [&](size_t idx, uint64_t est, TidSet set) {
+          const FilterEngine::Singleton& single = singles[idx];
+          // flag < 0 cannot occur below the root (the parent is non-empty).
+          children.push_back({idx, est,
+                              CheckCount(single.exact, single.est, state, est,
+                                         engine_.tau()),
+                              std::move(set)});
+        });
     for (size_t j = 0; j < children.size(); ++j) {
       Visit(children[j], children, j);
     }
@@ -145,6 +139,7 @@ class DualFilterWalk {
   MineStats* stats_;
   DualFilterOutput* out_;
   Itemset current_;
+  std::vector<uint32_t> counters_;  // occurrence-delivery scratch
 };
 
 }  // namespace

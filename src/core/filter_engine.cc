@@ -31,6 +31,9 @@ void FilterEngine::Prepare(const Itemset& universe, MineStats* stats,
     s.exact = bbs_.tracks_item_counts() ? bbs_.ExactItemCount(item) : 0;
     s.vector = std::move(vector);
     vector = BitVector();
+    // Listed while the vector is still in cache; the occurrence table and
+    // the sparse roots are built from these lists.
+    if (est <= sparse_threshold_) s.vector.AppendSetBits(&s.tids);
     singletons_.push_back(std::move(s));
   }
   if (rare_first) {
@@ -40,14 +43,48 @@ void FilterEngine::Prepare(const Itemset& universe, MineStats* stats,
                        return a.item < b.item;
                      });
   }
+  BuildOccurrenceTable();
   span.AddArg("universe", universe.size());
   span.AddArg("singletons", singletons_.size());
 }
 
-BitVector FilterEngine::AllTransactions() const {
-  BitVector all(bbs_.num_transactions());
-  all.SetAll();
-  return all;
+void FilterEngine::BuildOccurrenceTable() {
+  // Counting sort by transaction: per-row sizes, prefix sums, then a
+  // scatter in walk order, so every row comes out ascending.
+  const size_t n = bbs_.num_transactions();
+  occurrence_begin_.assign(n + 1, 0);
+  for (const Singleton& single : singletons_) {
+    for (uint32_t t : single.tids) ++occurrence_begin_[t + 1];
+  }
+  for (size_t t = 0; t < n; ++t) {
+    occurrence_begin_[t + 1] += occurrence_begin_[t];
+  }
+  occurrences_.resize(occurrence_begin_[n]);
+  std::vector<size_t> cursor(occurrence_begin_.begin(),
+                             occurrence_begin_.end() - 1);
+  for (size_t idx = 0; idx < singletons_.size(); ++idx) {
+    for (uint32_t t : singletons_[idx].tids) {
+      occurrences_[cursor[t]++] = static_cast<uint32_t>(idx);
+    }
+  }
+}
+
+void FilterEngine::DeliverOccurrences(const TidSet& parent,
+                                      std::vector<uint32_t>* counters) const {
+  counters->assign(singletons_.size(), 0);
+  uint32_t* row = counters->data();
+  for (uint32_t t : parent.tids()) {
+    const size_t end = occurrence_begin_[t + 1];
+    for (size_t e = occurrence_begin_[t]; e < end; ++e) ++row[occurrences_[e]];
+  }
+}
+
+TidSet FilterEngine::RootSet(size_t idx) const {
+  const Singleton& single = singletons_[idx];
+  if (single.est > sparse_threshold_) return TidSet::FromDense(single.vector);
+  TidSet set;
+  set.AssignSparse(single.tids);
+  return set;
 }
 
 }  // namespace bbsmine

@@ -74,7 +74,7 @@ class IntegratedProbeWalk {
                                 engine.tau());
         if (node.check.flag < 0) continue;  // exactly-known infrequent
       }
-      node.set = TidSet::FromDense(single.vector, engine.sparse_threshold());
+      node.set = engine.RootSet(idx);
       roots.push_back(std::move(node));
     }
     return roots;
@@ -118,23 +118,17 @@ class IntegratedProbeWalk {
 
     if (keep) {
       std::vector<Node> children;
-      for (size_t j = i + 1; j < siblings.size(); ++j) {
-        size_t idx = siblings[j].idx;
-        const FilterEngine::Singleton& single = singles[idx];
-        Node child;
-        child.idx = idx;
-        child.est = engine_.ExtendHybrid(idx, node->set, &child.set);
-        ++stats_->extension_tests;
-        if (child.est < ctx_->tau) {
-          stats_->pruned_by_depth.Add(current_.size() + 1);
-          continue;
-        }
-        if (dual_) {
-          child.check = CheckCount(single.exact, single.est, state, child.est,
-                                   ctx_->tau);
-        }
-        children.push_back(std::move(child));
-      }
+      engine_.ExtendChildren(
+          node->set, current_.size(), siblings, i, &counters_, stats_,
+          [&](size_t idx, uint64_t est, TidSet set) {
+            const FilterEngine::Singleton& single = singles[idx];
+            CheckCountResult check;
+            if (dual_) {
+              check = CheckCount(single.exact, single.est, state, est,
+                                 ctx_->tau);
+            }
+            children.push_back({idx, est, check, std::move(set)});
+          });
       for (size_t j = 0; j < children.size(); ++j) {
         Visit(&children[j], children, j);
       }
@@ -182,6 +176,7 @@ class IntegratedProbeWalk {
   std::vector<Pattern>* out_;
   Itemset current_;
   Itemset canonical_;
+  std::vector<uint32_t> counters_;  // occurrence-delivery scratch
   double probe_seconds_ = 0;
 };
 

@@ -22,9 +22,10 @@ namespace {
 ///
 /// The walk is split at the root: subtree i (rooted at singleton i, with
 /// extensions drawn from singletons j > i) depends only on the shared
-/// read-only root table, so subtrees run on independent threads and their
-/// outputs are concatenated in root order — bit-identical to the serial
-/// depth-first emission.
+/// read-only root table and engine (its occurrence table included; each
+/// walk owns its delivery counters), so subtrees run on independent threads
+/// and their outputs are concatenated in root order — bit-identical to the
+/// serial depth-first emission.
 
 struct Node {
   size_t idx = 0;    // index into engine.singletons()
@@ -41,8 +42,7 @@ std::vector<Node> BuildRoots(const FilterEngine& engine) {
     Node node;
     node.idx = idx;
     node.est = singles[idx].est;
-    node.set =
-        TidSet::FromDense(singles[idx].vector, engine.sparse_threshold());
+    node.set = engine.RootSet(idx);
     roots.push_back(std::move(node));
   }
   return roots;
@@ -75,17 +75,11 @@ class SingleFilterWalk {
     }
 
     std::vector<Node> children;
-    for (size_t j = i + 1; j < siblings.size(); ++j) {
-      Node child;
-      child.idx = siblings[j].idx;
-      child.est = engine_.ExtendHybrid(child.idx, node.set, &child.set);
-      if (stats_ != nullptr) ++stats_->extension_tests;
-      if (child.est >= engine_.tau()) {
-        children.push_back(std::move(child));
-      } else if (stats_ != nullptr) {
-        stats_->pruned_by_depth.Add(current_.size() + 1);
-      }
-    }
+    engine_.ExtendChildren(node.set, current_.size(), siblings, i, &counters_,
+                           stats_,
+                           [&children](size_t idx, uint64_t est, TidSet set) {
+                             children.push_back({idx, est, std::move(set)});
+                           });
     for (size_t j = 0; j < children.size(); ++j) {
       Visit(children[j], children, j);
     }
@@ -96,6 +90,7 @@ class SingleFilterWalk {
   MineStats* stats_;
   std::vector<Candidate>* out_;
   Itemset current_;
+  std::vector<uint32_t> counters_;  // occurrence-delivery scratch
 };
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <string>
 #include <thread>
 
@@ -48,8 +49,11 @@ void FlightRing::Record(const FlightEvent& event) {
   Slot& slot = slots_[head % slots_.size()];
   // Seqlock write side: odd lock value marks the slot torn. The single
   // writer never contends with itself, so plain increment semantics hold.
+  // The release fence orders the odd store before every field store below
+  // (a release store would only order the stores before it).
   uint64_t lock = slot.lock.load(std::memory_order_relaxed);
-  slot.lock.store(lock + 1, std::memory_order_release);
+  slot.lock.store(lock + 1, std::memory_order_relaxed);
+  std::atomic_thread_fence(std::memory_order_release);
   slot.seq.store(head, std::memory_order_relaxed);
   slot.start_rel_us.store(event.start_rel_us, std::memory_order_relaxed);
   slot.latency_us.store(event.latency_us, std::memory_order_relaxed);
@@ -59,8 +63,10 @@ void FlightRing::Record(const FlightEvent& event) {
   slot.verb.store(static_cast<uint8_t>(event.verb),
                   std::memory_order_relaxed);
   slot.ok.store(event.ok ? 1 : 0, std::memory_order_relaxed);
-  for (size_t i = 0; i < FlightEvent::kTraceIdBytes; ++i) {
-    slot.trace_id[i].store(event.trace_id[i], std::memory_order_relaxed);
+  for (size_t w = 0; w < kTraceIdWords; ++w) {
+    uint64_t word;
+    std::memcpy(&word, event.trace_id + 8 * w, sizeof(word));
+    slot.trace_id[w].store(word, std::memory_order_relaxed);
   }
   slot.lock.store(lock + 2, std::memory_order_release);
   head_.store(head + 1, std::memory_order_release);
@@ -87,8 +93,9 @@ std::vector<FlightEvent> FlightRing::Read() const {
     event.verb = static_cast<RecordedVerb>(
         slot.verb.load(std::memory_order_relaxed));
     event.ok = slot.ok.load(std::memory_order_relaxed) != 0;
-    for (size_t i = 0; i < FlightEvent::kTraceIdBytes; ++i) {
-      event.trace_id[i] = slot.trace_id[i].load(std::memory_order_relaxed);
+    for (size_t w = 0; w < kTraceIdWords; ++w) {
+      uint64_t word = slot.trace_id[w].load(std::memory_order_relaxed);
+      std::memcpy(event.trace_id + 8 * w, &word, sizeof(word));
     }
     event.trace_id[FlightEvent::kTraceIdBytes - 1] = '\0';
     std::atomic_thread_fence(std::memory_order_acquire);

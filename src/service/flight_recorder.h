@@ -12,10 +12,12 @@
 // Concurrency: each ring has exactly ONE writer (the owning connection
 // thread); readers (DUMP, the shutdown/crash dump) may run concurrently
 // with writers, so every event slot is a seqlock over relaxed atomics —
-// the writer bumps the slot's sequence to odd, stores the fields, then
-// publishes the even sequence with release order; a reader that observes
-// an odd or changed sequence skips the torn slot. No mutex is ever taken
-// on the request path: recording is a dozen relaxed atomic stores.
+// the writer stores the slot's sequence odd, issues a release fence (so no
+// field store can be reordered before the odd value), stores the fields,
+// then publishes the even sequence with release order; a reader that
+// observes an odd or changed sequence skips the torn slot. No mutex is
+// ever taken on the request path: recording is a dozen relaxed atomic
+// stores.
 //
 // Rings outlive their connections (a crashed daemon mostly wants events
 // from connections that already closed); the recorder retains up to
@@ -92,6 +94,9 @@ class FlightRing {
   void Reset();
 
  private:
+  static constexpr size_t kTraceIdWords = FlightEvent::kTraceIdBytes / 8;
+  static_assert(FlightEvent::kTraceIdBytes % 8 == 0);
+
   struct Slot {
     std::atomic<uint64_t> lock{0};  // seqlock: odd while being written
     std::atomic<uint64_t> seq{0};
@@ -102,7 +107,8 @@ class FlightRing {
     std::atomic<uint32_t> batch_size{0};
     std::atomic<uint8_t> verb{0};
     std::atomic<uint8_t> ok{0};
-    std::atomic<char> trace_id[FlightEvent::kTraceIdBytes] = {};
+    // The trace id, packed eight bytes to a word.
+    std::atomic<uint64_t> trace_id[kTraceIdWords] = {};
   };
 
   std::vector<Slot> slots_;

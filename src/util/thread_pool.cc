@@ -50,6 +50,13 @@ void ThreadPool::WorkerLoop() {
 
 void ThreadPool::ParallelFor(size_t n,
                              const std::function<void(size_t)>& body) {
+  // The caller is one of the min(num_threads(), n) runners.
+  RunWithHelpers(n, body, n == 0 ? 0 : std::min(num_threads(), n) - 1);
+}
+
+void ThreadPool::RunWithHelpers(size_t n,
+                                const std::function<void(size_t)>& body,
+                                size_t helpers) {
   // Shared with the helper tasks, so a helper dequeued after this call
   // returned still finds it: it claims an index past n and never runs body.
   struct State {
@@ -64,7 +71,7 @@ void ThreadPool::ParallelFor(size_t n,
       state->done.count_down();
     }
   };
-  for (size_t t = 1; t < std::min(num_threads(), n); ++t) Submit(drain);
+  for (size_t t = 0; t < helpers; ++t) Submit(drain);
   drain();
   state->done.wait();
 }
@@ -82,8 +89,9 @@ void ParallelFor(size_t num_threads, size_t n,
     for (size_t i = 0; i < n; ++i) body(i);
     return;
   }
-  ThreadPool pool(threads);
-  pool.ParallelFor(n, body);
+  // The caller is the last of the `threads`: start one fewer helper.
+  ThreadPool pool(threads - 1);
+  pool.RunWithHelpers(n, body, threads - 1);
   if (max_queue_depth != nullptr) {
     *max_queue_depth = std::max(*max_queue_depth, pool.max_queue_depth());
   }

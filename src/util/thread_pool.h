@@ -63,6 +63,15 @@ class ThreadPool {
   static size_t DefaultThreads();
 
  private:
+  friend void ParallelFor(size_t num_threads, size_t n,
+                          const std::function<void(size_t)>& body,
+                          uint64_t* max_queue_depth);
+
+  /// ParallelFor with an explicit helper count: body runs on the calling
+  /// thread plus `helpers` submitted drain tasks.
+  void RunWithHelpers(size_t n, const std::function<void(size_t)>& body,
+                      size_t helpers);
+
   void WorkerLoop();
 
   mutable std::mutex mu_;
@@ -73,10 +82,12 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
-/// Runs body(i) for every i in [0, n) on up to `num_threads` threads.
-/// With num_threads <= 1 (or n <= 1) the loop runs inline on the calling
-/// thread — zero threading overhead, and the serial path stays the serial
-/// path. `num_threads == 0` means one thread per hardware thread.
+/// Runs body(i) for every i in [0, n) on up to `num_threads` threads: the
+/// calling thread plus exactly min(num_threads, n) - 1 helper threads
+/// started for this call. With num_threads <= 1 (or n <= 1) the loop runs
+/// inline on the calling thread — zero threading overhead, and the serial
+/// path stays the serial path. `num_threads == 0` means one thread per
+/// hardware thread.
 ///
 /// When `max_queue_depth` is non-null it is raised (never lowered) to the
 /// deepest task backlog the fan-out reached; the inline path leaves it

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <filesystem>
 #include <future>
+#include <mutex>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -112,6 +117,43 @@ TEST(FreeParallelForTest, MoreThreadsThanWork) {
   std::vector<std::atomic<int>> hits(3);
   ParallelFor(16, hits.size(), [&hits](size_t i) { ++hits[i]; });
   for (size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 1);
+}
+
+// Threads of this process, or 0 where /proc/self/task is unavailable.
+size_t LiveThreads() {
+  std::error_code error;
+  std::filesystem::directory_iterator it("/proc/self/task", error);
+  if (error) return 0;
+  size_t count = 0;
+  for (; it != std::filesystem::directory_iterator(); ++it) ++count;
+  return count;
+}
+
+TEST(FreeParallelForTest, RunsOnTheCallerPlusThreadsMinusOneHelpers) {
+  constexpr size_t kThreads = 4;
+  const size_t before = LiveThreads();
+  std::mutex mu;
+  std::set<std::thread::id> ran_on;
+  size_t during = 0;
+  uint64_t depth = 0;
+  ParallelFor(
+      kThreads, 64,
+      [&](size_t) {
+        // Long enough that no runner can drain every index alone.
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        size_t live = LiveThreads();
+        std::lock_guard<std::mutex> lock(mu);
+        ran_on.insert(std::this_thread::get_id());
+        during = std::max(during, live);
+      },
+      &depth);
+  EXPECT_TRUE(ran_on.count(std::this_thread::get_id()));
+  EXPECT_LE(ran_on.size(), kThreads);
+  EXPECT_LE(depth, kThreads - 1);
+  if (before != 0) {
+    // Exactly kThreads - 1 helper threads were started for the call.
+    EXPECT_EQ(during - before, kThreads - 1);
+  }
 }
 
 TEST(FreeParallelForTest, SumMatchesSerial) {
